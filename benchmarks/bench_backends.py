@@ -3,7 +3,7 @@
 
 Classifies (Pfaffian + nullity) every diagram of one shape through both
 kernels and reports per-diagram timings, then times the public census
-engine. Run from the repository root:
+engine on one worker. Run from the repository root:
 
     python benchmarks/bench_backends.py --rows 4 --cols 4
 """
@@ -13,26 +13,12 @@ import time
 
 from cauchon import _kernel_py
 from cauchon.census import run_census
-from cauchon.diagram import _iter_row_masks
+from cauchon.diagram import _iter_row_masks, white_coordinates
 
 try:
     from cauchon import _kernel as compiled
 except ImportError:
     compiled = None
-
-
-def build_workload(m: int, n: int) -> list[tuple[list[int], list[int]]]:
-    out = []
-    for masks in _iter_row_masks(m, n):
-        rows: list[int] = []
-        cols: list[int] = []
-        for i, mask in enumerate(masks, start=1):
-            for c in range(1, n + 1):
-                if not mask >> (c - 1) & 1:
-                    rows.append(i)
-                    cols.append(c)
-        out.append((rows, cols))
-    return out
 
 
 def time_kernel(classify, workload, repeats: int) -> float:
@@ -53,7 +39,10 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    workload = build_workload(args.rows, args.cols)
+    workload = [
+        white_coordinates(masks, args.cols)
+        for masks in _iter_row_masks(args.rows, args.cols)
+    ]
     count = len(workload)
     print(f"shape {args.rows}x{args.cols}: {count} diagrams")
 
@@ -71,10 +60,10 @@ def main() -> None:
             assert compiled.classify_cells(rows, cols) == _kernel_py.classify_cells(rows, cols)
         print("agreement   : identical results on the whole workload")
 
-    record = run_census(args.rows, args.cols)
+    record = run_census(args.rows, args.cols, workers=1)
     print(
         f"census      : total={record.total} primitive={record.primitive} "
-        f"in {record.elapsed:.3f}s (all cores, active kernel)"
+        f"in {record.elapsed:.3f}s (one worker, active kernel)"
     )
 
 

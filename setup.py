@@ -1,12 +1,14 @@
 """Build script for the optional compiled condensation kernel.
 
 The package is fully functional as pure Python; the Cython extension only
-accelerates the hot Pfaffian/nullity kernel. A failed extension build is
-downgraded to a warning so the pure-Python fallback can still be installed
+accelerates the hot Pfaffian/nullity kernel. Without Cython the extension
+is skipped with a note on stderr, and a failed extension build is
+downgraded to a warning, so the pure-Python fallback can still be installed
 (set CAUCHON_PURE_PYTHON=1 to skip the extension deliberately).
 """
 
 import os
+import sys
 import warnings
 
 from setuptools import Extension, setup
@@ -32,8 +34,12 @@ if not os.environ.get("CAUCHON_PURE_PYTHON"):
     try:
         from Cython.Build import cythonize
     except ImportError:
-        cythonize = None
-    if cythonize is not None:
+        print(
+            "Cython is not installed: skipping the compiled kernel cauchon._kernel; "
+            "the pure-Python kernel will be used",
+            file=sys.stderr,
+        )
+    else:
         ext_modules = cythonize(
             [
                 Extension(

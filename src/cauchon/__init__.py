@@ -10,8 +10,6 @@ and conjecture scans for small grids.
 
 from .backend import active_backend
 from .census import (
-    MODE_FAST,
-    MODE_PFAFFIAN,
     CensusRecord,
     check_formula,
     check_relation_eqc,
@@ -82,8 +80,6 @@ __all__ = [
     "LabeledCauchonDiagram",
     "MalformedMatchingError",
     "Matching",
-    "MODE_FAST",
-    "MODE_PFAFFIAN",
     "NonRectangularError",
     "NotCauchonError",
     "SkewAdjacency",

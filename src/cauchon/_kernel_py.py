@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["pfaffian_and_nullity", "classify_cells", "determinant"]
+__all__ = ["pfaffian_and_nullity", "skew_matrix", "classify_cells", "determinant"]
 
 
 def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
@@ -86,12 +86,12 @@ def pfaffian_and_nullity(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     return _condense(a, d)
 
 
-def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
-    """Pfaffian and nullity of the skew adjacency matrix of white squares.
+def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
+    """Skew adjacency matrix of white squares, as fresh nested lists.
 
     ``rows``/``cols`` give the coordinates of the white squares in row-major
     order; entry (i, j) with i < j is +1 exactly when the two squares share
-    a row or a column.
+    a row or a column, and entry (j, i) is its negative.
     """
     d = len(rows)
     a = [[0] * d for _ in range(d)]
@@ -103,7 +103,12 @@ def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
             if rows[j] == ri or cols[j] == ci:
                 ai[j] = 1
                 a[j][i] = -1
-    return _condense(a, d)
+    return a
+
+
+def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
+    """Pfaffian and nullity of the skew adjacency matrix of white squares."""
+    return _condense(skew_matrix(rows, cols), len(rows))
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

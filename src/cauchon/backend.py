@@ -2,9 +2,9 @@
 
 The compiled kernel (Cython, 64-bit with 128-bit intermediates) is picked at
 import when available and is exact for 0/+-1 skew matrices up to dimension
-44; anything larger, or with larger entries, silently routes to the
-pure-Python big-integer kernel. Set CAUCHON_BACKEND=python or =compiled to
-force a choice (forcing 'compiled' fails fast if the extension is missing).
+44; anything larger silently routes to the pure-Python big-integer kernel.
+Set CAUCHON_BACKEND=python or =compiled to force a choice (forcing
+'compiled' fails fast if the extension is missing).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "COMPILED_MAX_DIM",
     "active_backend",
     "classify_cells",
-    "pfaffian_and_nullity",
     "determinant",
 ]
 
@@ -50,18 +49,6 @@ def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
     if _compiled is not None and len(rows) <= COMPILED_MAX_DIM:
         return _compiled.classify_cells(rows, cols)
     return _kernel_py.classify_cells(rows, cols)
-
-
-def pfaffian_and_nullity(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(Pfaffian, nullity) of a skew-symmetric integer matrix."""
-    d = len(matrix)
-    if (
-        _compiled is not None
-        and d <= COMPILED_MAX_DIM
-        and all(-1 <= e <= 1 for row in matrix for e in row)
-    ):
-        return _compiled.pfaffian_and_nullity(matrix)
-    return _kernel_py.pfaffian_and_nullity(matrix)
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

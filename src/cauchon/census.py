@@ -19,24 +19,23 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import backend
-from .criterion import primitive_1xn, primitive_2xn_fast, two_row_stats
+from .criterion import column_label_sum, primitive_1xn, primitive_2xn_fast, two_row_stats
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
     _row_candidates,
+    _white_cols,  # noqa: F401  (perfbench reads this cache's statistics here)
     canonical_labels,
     format_grid,
+    white_coordinates,
 )
 from .matching import pfaffian_by_matchings, vert_partition_sum
 
 __all__ = [
-    "MODE_PFAFFIAN",
-    "MODE_FAST",
     "CensusRecord",
     "run_census",
     "FORMULA_IDS",
@@ -60,31 +59,20 @@ __all__ = [
     "conjectured_leading_coefficient",
 ]
 
-MODE_PFAFFIAN = "pfaffian"
-MODE_FAST = "fast-when-available"
-
-_MODE_ALIASES = {
-    "pfaffian": MODE_PFAFFIAN,
-    "fast": MODE_FAST,
-    "fast-when-available": MODE_FAST,
-}
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """Aggregate counts for one grid shape.
 
-    ``nullity_histogram`` maps nullity to diagram count in pfaffian mode
-    (histogram[0] equals the primitive count) and is None in fast mode.
-    ``elapsed`` is wall time in seconds and is excluded from data payloads.
+    ``nullity_histogram`` maps nullity to diagram count (histogram[0]
+    equals the primitive count). ``elapsed`` is wall time in seconds and is
+    excluded from data payloads.
     """
 
     m: int
     n: int
-    mode: str
     total: int
     primitive: int
-    nullity_histogram: dict[int, int] | None
+    nullity_histogram: dict[int, int]
     elapsed: float = field(default=0.0, compare=False)
 
     def proportion(self) -> Fraction:
@@ -92,14 +80,11 @@ class CensusRecord:
 
     def to_payload(self) -> dict:
         """Deterministic JSON-ready dict (no timing information)."""
-        hist = None
-        if self.nullity_histogram is not None:
-            hist = {str(k): self.nullity_histogram[k] for k in sorted(self.nullity_histogram)}
+        hist = {str(k): self.nullity_histogram[k] for k in sorted(self.nullity_histogram)}
         prop = self.proportion()
         return {
             "m": self.m,
             "n": self.n,
-            "mode": self.mode,
             "total": self.total,
             "primitive": self.primitive,
             "proportion_num": prop.numerator,
@@ -108,34 +93,11 @@ class CensusRecord:
         }
 
 
-@lru_cache(maxsize=200_000)
-def _white_cols(n: int, mask: int) -> tuple[int, ...]:
-    return tuple(c for c in range(1, n + 1) if not mask >> (c - 1) & 1)
-
-
-def _census_partition(args: tuple[int, int, int, str]) -> tuple[int, int, tuple[tuple[int, int], ...] | None]:
+def _census_partition(args: tuple[int, int, int]) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     """Classify every diagram with the given first row; returns (total, primitive, histogram items)."""
-    m, n, first_row, mode = args
+    m, n, first_row = args
     total = 0
     primitive = 0
-    if mode == MODE_FAST:
-        if m == 1:
-            for masks in _iter_row_masks(m, n, first_row=first_row):
-                total += 1
-                if (n - masks[0].bit_count()) % 2 == 0:
-                    primitive += 1
-        elif m == 2:
-            for masks in _iter_row_masks(m, n, first_row=first_row):
-                total += 1
-                if primitive_2xn_fast(CauchonDiagram(2, n, masks)):
-                    primitive += 1
-        else:
-            # no closed form is known for three or more rows
-            for masks in _iter_row_masks(m, n, first_row=first_row):
-                total += 1
-                if _classify_masks(masks, n)[0]:
-                    primitive += 1
-        return total, primitive, None
     hist: dict[int, int] = {}
     for masks in _iter_row_masks(m, n, first_row=first_row):
         pf, nul = _classify_masks(masks, n)
@@ -147,38 +109,22 @@ def _census_partition(args: tuple[int, int, int, str]) -> tuple[int, int, tuple[
 
 
 def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, mask in enumerate(masks, start=1):
-        for c in _white_cols(n, mask):
-            rows.append(i)
-            cols.append(c)
+    rows, cols = white_coordinates(masks, n)
     return backend.classify_cells(rows, cols)
 
 
-def run_census(
-    m: int,
-    n: int,
-    mode: str = MODE_PFAFFIAN,
-    workers: int | None = None,
-) -> CensusRecord:
-    """Enumerate and classify all of C_{m,n}.
+def run_census(m: int, n: int, workers: int | None = None) -> CensusRecord:
+    """Enumerate and classify all of C_{m,n}, with the full nullity histogram.
 
-    ``mode`` is "pfaffian" (full nullity histogram) or "fast-when-available"
-    (closed-form tests for one and two rows, histogram omitted). Results do
-    not depend on ``workers``; the default uses all cores.
+    Results do not depend on ``workers``; the default uses all cores.
     """
     if m < 1 or n < 0:
         raise ValueError(f"grid shape {m}x{n} is not valid")
-    try:
-        mode = _MODE_ALIASES[mode]
-    except KeyError:
-        raise ValueError(f"unknown census mode {mode!r}") from None
     if workers is None or workers <= 0:
         workers = os.cpu_count() or 1
     start = time.perf_counter()
     first_rows = _row_candidates(n, (1 << n) - 1)
-    tasks = [(m, n, fr, mode) for fr in first_rows]
+    tasks = [(m, n, fr) for fr in first_rows]
     if workers == 1 or len(tasks) <= 1 or m * n <= 16:
         parts = [_census_partition(task) for task in tasks]
     else:
@@ -187,22 +133,18 @@ def run_census(
             parts = pool.map(_census_partition, tasks, chunksize=chunk)
     total = 0
     primitive = 0
-    hist: dict[int, int] | None = None if mode == MODE_FAST else {}
+    hist: dict[int, int] = {}
     for part_total, part_primitive, part_hist in parts:
         total += part_total
         primitive += part_primitive
-        if hist is not None and part_hist is not None:
-            for key, count in part_hist:
-                hist[key] = hist.get(key, 0) + count
-    if hist is not None:
-        hist = dict(sorted(hist.items()))
+        for key, count in part_hist:
+            hist[key] = hist.get(key, 0) + count
     return CensusRecord(
         m=m,
         n=n,
-        mode=mode,
         total=total,
         primitive=primitive,
-        nullity_histogram=hist,
+        nullity_histogram=dict(sorted(hist.items())),
         elapsed=time.perf_counter() - start,
     )
 
@@ -284,10 +226,7 @@ _FORMULA_ROWS = {P1_CLOSED: 1, P2_CLOSED: 2, P3_CONJECTURED: 3}
 
 
 def check_formula(
-    formula_id: str,
-    ns: Iterable[int],
-    mode: str = MODE_PFAFFIAN,
-    workers: int | None = None,
+    formula_id: str, ns: Iterable[int], workers: int | None = None
 ) -> list[FormulaCheckRow]:
     """Compare a sequence formula against censused values, one row per n.
 
@@ -298,9 +237,9 @@ def check_formula(
     for n in ns:
         expected = formula_value(formula_id, n=n)
         if formula_id in _FORMULA_ROWS:
-            actual = run_census(_FORMULA_ROWS[formula_id], n, mode=mode, workers=workers).primitive
+            actual = run_census(_FORMULA_ROWS[formula_id], n, workers=workers).primitive
         elif formula_id == C2_TOTAL:
-            actual = run_census(2, n, mode=mode, workers=workers).total
+            actual = run_census(2, n, workers=workers).total
         elif formula_id == C2_PRIME_TOTAL:
             actual = _count_no_black_column_by_enumeration(2, n)
         elif formula_id == PROPORTION_LIMIT:
@@ -388,36 +327,30 @@ class CriterionRow:
         return not self.mismatches
 
 
-def check_criterion_2xn(max_n: int) -> list[CriterionRow]:
-    """Fast two-row test versus the Pfaffian test, exhaustively per n."""
+def _check_closed_form(
+    m: int, max_n: int, predicate: Callable[[CauchonDiagram], bool]
+) -> list[CriterionRow]:
     rows = []
     for n in range(1, max_n + 1):
         mismatches = []
         count = 0
-        for masks in _iter_row_masks(2, n):
+        for masks in _iter_row_masks(m, n):
             count += 1
-            fast = primitive_2xn_fast(CauchonDiagram(2, n, masks))
-            exact = _classify_masks(masks, n)[0] != 0
-            if fast != exact:
-                mismatches.append(format_grid(CauchonDiagram(2, n, masks)))
+            diagram = CauchonDiagram(m, n, masks)
+            if predicate(diagram) != (_classify_masks(masks, n)[0] != 0):
+                mismatches.append(format_grid(diagram))
         rows.append(CriterionRow(n, count, tuple(mismatches)))
     return rows
+
+
+def check_criterion_2xn(max_n: int) -> list[CriterionRow]:
+    """Fast two-row test versus the Pfaffian test, exhaustively per n."""
+    return _check_closed_form(2, max_n, primitive_2xn_fast)
 
 
 def check_primitive_1xn(max_n: int) -> list[CriterionRow]:
     """Even-white-count test versus the Pfaffian test for single rows."""
-    rows = []
-    for n in range(1, max_n + 1):
-        mismatches = []
-        count = 0
-        for masks in _iter_row_masks(1, n):
-            count += 1
-            fast = primitive_1xn(CauchonDiagram(1, n, masks))
-            exact = _classify_masks(masks, n)[0] != 0
-            if fast != exact:
-                mismatches.append(format_grid(CauchonDiagram(1, n, masks)))
-        rows.append(CriterionRow(n, count, tuple(mismatches)))
-    return rows
+    return _check_closed_form(1, max_n, primitive_1xn)
 
 
 @dataclass(frozen=True)
@@ -466,11 +399,7 @@ def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
                 subset = [vert[i] for i in range(len(vert)) if bits >> i & 1]
                 subsets += 1
                 brute = vert_partition_sum(labeled, subset)
-                label_sum = sum(
-                    label
-                    for (row, col), label in zip(labeled.cells, labeled.labels)
-                    if col in subset
-                )
+                label_sum = column_label_sum(labeled, subset)
                 closed = _vert_closed_form(len(subset), label_sum, stats.m, stats.m_prime)
                 if brute != closed:
                     mismatches.append(
@@ -483,12 +412,9 @@ def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
     return rows
 
 
-def proportion(
-    m: int, n: int, mode: str = MODE_PFAFFIAN, workers: int | None = None
-) -> Fraction:
+def proportion(m: int, n: int, workers: int | None = None) -> Fraction:
     """P(m,n) / |C_{m,n}| as an exact (reduced) rational."""
-    record = run_census(m, n, mode=mode, workers=workers)
-    return record.proportion()
+    return run_census(m, n, workers=workers).proportion()
 
 
 # --- exploratory power-sum fit ------------------------------------------------

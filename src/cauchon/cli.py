@@ -81,11 +81,8 @@ def _census_csv_row(record: census.CensusRecord) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 0:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
-    mode = census.MODE_FAST if args.mode == "fast" else census.MODE_PFAFFIAN
-    if args.histogram and mode == census.MODE_FAST:
-        raise UsageError("--histogram is unavailable in fast mode")
     _guard_cells(args.rows * args.cols, args)
-    record = census.run_census(args.rows, args.cols, mode=mode, workers=args.workers)
+    record = census.run_census(args.rows, args.cols, workers=args.workers)
     if args.format == "csv":
         print(_CSV_HEADER)
         print(_census_csv_row(record))
@@ -98,11 +95,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         prop = record.proportion()
         print(f"m: {record.m}")
         print(f"n: {record.n}")
-        print(f"mode: {record.mode}")
         print(f"total: {record.total}")
         print(f"primitive: {record.primitive}")
         print(f"proportion: {prop.numerator}/{prop.denominator}")
-        if args.histogram and record.nullity_histogram is not None:
+        if args.histogram:
             print("nullity histogram:")
             for key in sorted(record.nullity_histogram):
                 print(f"  {key}: {record.nullity_histogram[key]}")
@@ -113,13 +109,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_rows < 1 or args.max_cols < 1:
         raise UsageError("--max-rows and --max-cols must be >= 1")
-    mode = census.MODE_FAST if args.mode == "fast" else census.MODE_PFAFFIAN
     _guard_cells(args.max_rows * args.max_cols, args)
     records = []
     elapsed = 0.0
     for m in range(1, args.max_rows + 1):
         for n in range(1, args.max_cols + 1):
-            record = census.run_census(m, n, mode=mode, workers=args.workers)
+            record = census.run_census(m, n, workers=args.workers)
             records.append(record)
             elapsed += record.elapsed
     if args.format == "csv":
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="census a single grid shape")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--mode", choices=["pfaffian", "fast"], default="pfaffian")
     p.add_argument("--histogram", action="store_true", help="include the nullity histogram")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     _add_common(p, workers=True)
@@ -367,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="grid of primitive counts, like a P(m,n) table")
     p.add_argument("--max-rows", type=int, required=True)
     p.add_argument("--max-cols", type=int, required=True)
-    p.add_argument("--mode", choices=["pfaffian", "fast"], default="pfaffian")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     _add_common(p, workers=True)
     p.set_defaults(func=_cmd_table)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "GridError",
@@ -35,6 +35,7 @@ __all__ = [
     "transpose",
     "canonical_labels",
     "with_labels",
+    "white_coordinates",
 ]
 
 WHITE_CHAR = "."
@@ -145,12 +146,7 @@ class CauchonDiagram:
 
     def white_cells(self) -> tuple[tuple[int, int], ...]:
         """White squares in row-major order, as 1-indexed (row, col) pairs."""
-        cells = []
-        for i, mask in enumerate(self.row_masks, start=1):
-            for col in range(1, self.cols + 1):
-                if not mask >> (col - 1) & 1:
-                    cells.append((i, col))
-        return tuple(cells)
+        return tuple(zip(*white_coordinates(self.row_masks, self.cols)))
 
     def black_cells(self) -> tuple[tuple[int, int], ...]:
         cells = []
@@ -170,6 +166,27 @@ class CauchonDiagram:
 
     def __str__(self) -> str:
         return format_grid(self)
+
+
+@lru_cache(maxsize=200_000)
+def _white_cols(n: int, mask: int) -> tuple[int, ...]:
+    return tuple(c for c in range(1, n + 1) if not mask >> (c - 1) & 1)
+
+
+def white_coordinates(row_masks: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Rows and columns of the white squares, in row-major order.
+
+    This is the one place that fixes the order of the white squares: the
+    k-th white square is row k (and column k) of the skew adjacency matrix,
+    and carries the k-th label of an admissible labeling.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, mask in enumerate(row_masks, start=1):
+        for col in _white_cols(n, mask):
+            rows.append(i)
+            cols.append(col)
+    return rows, cols
 
 
 def validate(black_cells: Iterable[tuple[int, int]], m: int, n: int) -> bool:

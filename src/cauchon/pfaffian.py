@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import backend
-from .diagram import CauchonDiagram, LabeledCauchonDiagram, canonical_labels
+from . import _kernel_py, backend
+from .diagram import CauchonDiagram, LabeledCauchonDiagram, white_coordinates
 
 __all__ = [
     "SkewAdjacency",
@@ -51,39 +51,20 @@ class SkewAdjacency:
                     raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) are not antisymmetric")
 
 
-def _white_coordinates(diagram: CauchonDiagram) -> tuple[list[int], list[int]]:
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, mask in enumerate(diagram.row_masks, start=1):
-        for col in range(1, diagram.cols + 1):
-            if not mask >> (col - 1) & 1:
-                rows.append(i)
-                cols.append(col)
-    return rows, cols
-
-
 def skew_adjacency(source: CauchonDiagram | LabeledCauchonDiagram) -> SkewAdjacency:
     """Build A_C; the matrix depends only on the white squares' positions.
 
     With admissible labels, sorting by label is exactly row-major order, so
     any admissible labeling yields the same matrix.
     """
-    labeled = source if isinstance(source, LabeledCauchonDiagram) else canonical_labels(source)
-    cells = labeled.cells
-    d = len(cells)
-    entries = [[0] * d for _ in range(d)]
-    for a in range(d):
-        ra, ca = cells[a]
-        for b in range(a + 1, d):
-            rb, cb = cells[b]
-            if ra == rb or ca == cb:
-                entries[a][b] = 1
-                entries[b][a] = -1
-    return SkewAdjacency(d, tuple(tuple(row) for row in entries))
+    diagram = source.diagram if isinstance(source, LabeledCauchonDiagram) else source
+    rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+    entries = _kernel_py.skew_matrix(rows, cols)
+    return SkewAdjacency(len(rows), tuple(tuple(row) for row in entries))
 
 
 def _classify(diagram: CauchonDiagram) -> tuple[int, int]:
-    rows, cols = _white_coordinates(diagram)
+    rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
     return backend.classify_cells(rows, cols)
 
 

@@ -156,20 +156,11 @@ def test_classify_cells_agreement():
             )
 
 
-def test_dispatch_routes_large_entries_to_python():
-    # entries outside {-1, 0, 1} must still be handled exactly
-    a = [[0, 3], [-3, 0]]
-    assert backend.pfaffian_and_nullity(a) == (3, 0)
-
-
 def test_dispatch_handles_dimension_above_compiled_limit():
-    d = backend.COMPILED_MAX_DIM + 2
-    a = [[0] * d for _ in range(d)]
-    for k in range(0, d, 2):
-        a[k][k + 1] = 1
-        a[k + 1][k] = -1
-    pf, nul = backend.pfaffian_and_nullity(a)
-    assert (pf, nul) == (1, 0)
+    # an all-white single row: every pair of squares is adjacent
+    for d, expected in [(45, (0, 1)), (46, (1, 0))]:
+        assert d > backend.COMPILED_MAX_DIM
+        assert backend.classify_cells([1] * d, list(range(1, d + 1))) == expected
 
 
 def test_determinant_against_reference():

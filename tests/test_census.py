@@ -4,8 +4,6 @@ import pytest
 
 from cauchon import census
 from cauchon.census import (
-    MODE_FAST,
-    MODE_PFAFFIAN,
     UnknownFormulaError,
     check_formula,
     check_relation_eqc,
@@ -41,25 +39,6 @@ def test_census_empty_cols():
 def test_census_rejects_bad_args():
     with pytest.raises(ValueError):
         run_census(0, 2)
-    with pytest.raises(ValueError):
-        run_census(2, 2, mode="floating")
-
-
-@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (2, 5)])
-def test_fast_mode_matches_pfaffian_mode(m, n):
-    fast = run_census(m, n, mode="fast", workers=1)
-    exact = run_census(m, n, mode=MODE_PFAFFIAN, workers=1)
-    assert fast.primitive == exact.primitive
-    assert fast.total == exact.total
-    assert fast.nullity_histogram is None
-    assert fast.mode == MODE_FAST
-
-
-def test_fast_mode_for_three_rows_falls_back():
-    fast = run_census(3, 3, mode=MODE_FAST, workers=1)
-    exact = run_census(3, 3, workers=1)
-    assert fast.primitive == exact.primitive
-    assert fast.nullity_histogram is None
 
 
 def test_census_worker_invariance():

@@ -74,20 +74,6 @@ def test_count_json_without_histogram(capsys):
     assert "nullity_histogram" not in payload
 
 
-def test_count_fast_mode(capsys):
-    code, out, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "6", "--mode", "fast")
-    assert code == 0
-    assert "primitive: 515" in out
-
-
-def test_count_histogram_in_fast_mode_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "count", "--rows", "2", "--cols", "2", "--mode", "fast", "--histogram"
-    )
-    assert code == 2
-    assert "histogram" in err
-
-
 def test_count_bad_rows(capsys):
     code, _, err = run_cli(capsys, "count", "--rows", "0", "--cols", "2")
     assert code == 2

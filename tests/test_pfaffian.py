@@ -13,8 +13,10 @@ from cauchon import (
     skew_adjacency,
     strip_black_columns,
     transpose,
+    white_edges,
     with_labels,
 )
+from cauchon.diagram import enumerate_diagrams, white_coordinates
 from conftest import GRID_4x6, sample_diagrams
 
 
@@ -49,6 +51,35 @@ def test_skew_adjacency_upper_triangle_is_nonnegative(small_diagrams):
             for i in range(d):
                 for j in range(i + 1, d):
                     assert entries[i][j] in (0, 1)
+
+
+#: every shape up to 3x3, plus 3x4 and its transpose
+DIFFERENTIAL_SHAPES = [(m, n) for m in range(1, 4) for n in range(4)] + [(3, 4), (4, 3)]
+
+
+def test_white_coordinates_match_is_black_scan():
+    for m, n in DIFFERENTIAL_SHAPES:
+        for diagram in enumerate_diagrams(m, n):
+            scan = [
+                (r, c)
+                for r in range(1, m + 1)
+                for c in range(1, n + 1)
+                if not diagram.is_black(r, c)
+            ]
+            rows, cols = white_coordinates(diagram.row_masks, n)
+            assert list(zip(rows, cols)) == scan, str(diagram)
+
+
+def test_skew_adjacency_matches_white_edges():
+    # white_edges is the matching oracle's own adjacency test
+    for m, n in DIFFERENTIAL_SHAPES:
+        for diagram in enumerate_diagrams(m, n):
+            entries = skew_adjacency(diagram).entries
+            d = len(entries)
+            plus = tuple(
+                (i + 1, j + 1) for i in range(d) for j in range(d) if entries[i][j] == 1
+            )
+            assert white_edges(diagram).edges == plus, str(diagram)
 
 
 def test_skew_adjacency_ignores_label_values():
