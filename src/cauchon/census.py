@@ -1,10 +1,15 @@
 """Exhaustive census of diagrams: primitive counts, histograms, formula checks.
 
-The engine enumerates every m x n diagram, classifies it exactly (Pfaffian
-and nullity of the skew adjacency matrix), and aggregates counts. Work is
-partitioned by the first row's black mask into independent sub-enumerations
-whose records merge by plain addition, so results are identical for any
-worker count and schedule.
+The engine runs the exact kernel (nullity of the skew adjacency matrix;
+nullity 0 means primitive) only on cores: diagrams with no entirely black
+row and no entirely black column. Deleting black lines from a diagram
+leaves its white squares, and so its matrix, unchanged, and inserting them
+into a core gives a diagram again, so the nullity histogram of an m x n
+census is a binomial-weighted sum of core histograms. Each core shape is
+classified once per process, and its transpose, which has the same
+nullities, reuses it. A shape's cores are partitioned by their first row's
+black mask into independent sub-enumerations whose histograms merge by
+plain addition, so results are identical for any worker count and schedule.
 
 Closed formulas live in a small registry keyed by formula id, and the
 check_* helpers turn the known identities and conjectures into executable
@@ -27,7 +32,6 @@ from .criterion import column_label_sum, primitive_1xn, primitive_2xn_fast, two_
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
-    _row_candidates,
     _white_cols,  # noqa: F401  (perfbench reads this cache's statistics here)
     canonical_labels,
     format_grid,
@@ -93,19 +97,19 @@ class CensusRecord:
         }
 
 
-def _census_partition(args: tuple[int, int, int]) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-    """Classify every diagram with the given first row; returns (total, primitive, histogram items)."""
-    m, n, first_row = args
-    total = 0
-    primitive = 0
+#: nullity histograms of the cores classified so far in this process, keyed
+#: by (shorter side, longer side): a core and its transpose have equal nullity
+_core_histograms: dict[tuple[int, int], dict[int, int]] = {}
+
+
+def _census_partition(args: tuple[int, int, int]) -> dict[int, int]:
+    """Nullity histogram of the a x b cores with the given first row."""
+    a, b, first_row = args
     hist: dict[int, int] = {}
-    for masks in _iter_row_masks(m, n, first_row=first_row):
-        pf, nul = _classify_masks(masks, n)
-        total += 1
-        if pf:
-            primitive += 1
+    for masks in _iter_row_masks(a, b, first_row=first_row, cores=True):
+        nul = _classify_masks(masks, b)[1]
         hist[nul] = hist.get(nul, 0) + 1
-    return total, primitive, tuple(sorted(hist.items()))
+    return hist
 
 
 def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
@@ -113,8 +117,53 @@ def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
     return backend.classify_cells(rows, cols)
 
 
+def _classify_cores(m: int, n: int, workers: int) -> None:
+    """Fill in the core histograms of every shape up to m x n not yet classified.
+
+    Each core shape is split by its first row. Shapes with more than 16
+    squares run those partitions in the process pool when there are several
+    workers; everything else runs here.
+    """
+    shapes = sorted(
+        {(min(a, b), max(a, b)) for a in range(1, m + 1) for b in range(1, n + 1)}
+        - _core_histograms.keys()
+    )
+    serial: list[tuple[int, int, int]] = []
+    pooled: list[tuple[int, int, int]] = []
+    for a, b in shapes:
+        for first_row in range((1 << b) - 1):  # any row but the full one
+            (pooled if workers > 1 and a * b > 16 else serial).append((a, b, first_row))
+    results = [(task, _census_partition(task)) for task in serial]
+    if pooled:
+        chunk = max(1, len(pooled) // (workers * 8))
+        with multiprocessing.Pool(workers) as pool:
+            results += zip(pooled, pool.map(_census_partition, pooled, chunksize=chunk))
+    # stored only once complete, so an interrupted run leaves no partial entry
+    found: dict[tuple[int, int], dict[int, int]] = {shape: {} for shape in shapes}
+    for (a, b, _), part in results:
+        hist = found[a, b]
+        for nul, count in part.items():
+            hist[nul] = hist.get(nul, 0) + count
+    _core_histograms.update(found)
+
+
+def _core_histogram(a: int, b: int) -> dict[int, int]:
+    if a == 0 or b == 0:
+        # only the empty grid has no black line when a side is zero
+        return {0: 1} if a == b else {}
+    return _core_histograms[min(a, b), max(a, b)]
+
+
 def run_census(m: int, n: int, workers: int | None = None) -> CensusRecord:
-    """Enumerate and classify all of C_{m,n}, with the full nullity histogram.
+    """Classify all of C_{m,n} through its cores, with the full nullity histogram.
+
+    Deleting every entirely black row and column of a diagram leaves a core,
+    with the same white squares and so the same skew adjacency matrix;
+    inserting black lines into a core gives a diagram back. So C_{m,n} is
+    the union over i, j of C(m, i) * C(n, j) copies of the cores of shape
+    (m - i) x (n - j), and the histogram is that binomial-weighted sum of
+    core histograms. Only cores run through the kernel, each shape once per
+    process: later calls, and transposed shapes, reuse them.
 
     Results do not depend on ``workers``; the default uses all cores.
     """
@@ -123,27 +172,18 @@ def run_census(m: int, n: int, workers: int | None = None) -> CensusRecord:
     if workers is None or workers <= 0:
         workers = os.cpu_count() or 1
     start = time.perf_counter()
-    first_rows = _row_candidates(n, (1 << n) - 1)
-    tasks = [(m, n, fr) for fr in first_rows]
-    if workers == 1 or len(tasks) <= 1 or m * n <= 16:
-        parts = [_census_partition(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_census_partition, tasks, chunksize=chunk)
-    total = 0
-    primitive = 0
+    _classify_cores(m, n, workers)
     hist: dict[int, int] = {}
-    for part_total, part_primitive, part_hist in parts:
-        total += part_total
-        primitive += part_primitive
-        for key, count in part_hist:
-            hist[key] = hist.get(key, 0) + count
+    for i in range(m + 1):
+        for j in range(n + 1):
+            weight = comb(m, i) * comb(n, j)
+            for nul, count in _core_histogram(m - i, n - j).items():
+                hist[nul] = hist.get(nul, 0) + weight * count
     return CensusRecord(
         m=m,
         n=n,
-        total=total,
-        primitive=primitive,
+        total=sum(hist.values()),
+        primitive=hist.get(0, 0),
         nullity_histogram=dict(sorted(hist.items())),
         elapsed=time.perf_counter() - start,
     )

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchon import census
+from cauchon import backend, census
 from cauchon.census import (
     UnknownFormulaError,
     check_formula,
@@ -15,6 +15,7 @@ from cauchon.census import (
     run_census,
     scan_power_of_two,
 )
+from cauchon.diagram import _iter_row_masks, white_coordinates
 
 
 def test_census_2x2():
@@ -42,13 +43,51 @@ def test_census_rejects_bad_args():
 
 
 def test_census_worker_invariance():
-    records = [run_census(3, 3, workers=w) for w in (1, 2, 4)]
-    payloads = [r.to_payload() for r in records]
+    # 3 x 6 cores have 18 squares, so with several workers they run in the pool
+    payloads = []
+    for workers in (1, 2, 4):
+        census._core_histograms.clear()
+        payloads.append(run_census(3, 6, workers=workers).to_payload())
     assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_census_transpose_symmetry():
-    assert run_census(3, 2, workers=1).primitive == run_census(2, 3, workers=1).primitive
+    # whichever shape comes first classifies the cores both of them use
+    histograms = []
+    for order in ((3, 4), (4, 3)), ((4, 3), (3, 4)):
+        census._core_histograms.clear()
+        histograms += [run_census(m, n, workers=1).nullity_histogram for m, n in order]
+    assert all(hist == histograms[0] for hist in histograms)
+
+
+def _oracle_histogram(m: int, n: int) -> dict[int, int]:
+    """Nullity histogram with every diagram, black lines and all, run through the kernel."""
+    hist: dict[int, int] = {}
+    for masks in _iter_row_masks(m, n):
+        nul = backend.classify_cells(*white_coordinates(masks, n))[1]
+        hist[nul] = hist.get(nul, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+#: m x 0 for m <= 3, and every shape with 1 <= m * n <= 20 except single
+#: lines beyond 16 squares: 1 x 17 .. 1 x 20 and their transposes would add
+#: 2^22 - 2^18 diagrams, over a minute with the pure-Python kernel
+ORACLE_SHAPES = [(m, 0) for m in range(1, 4)] + [
+    (m, n)
+    for m in range(1, 21)
+    for n in range(1, 21)
+    if m * n <= 20 and (min(m, n) > 1 or m * n <= 16)
+]
+
+
+@pytest.mark.parametrize("m,n", ORACLE_SHAPES)
+def test_census_matches_per_diagram_oracle(m, n):
+    census._core_histograms.clear()
+    record = run_census(m, n, workers=1)
+    hist = _oracle_histogram(m, n)
+    assert record.nullity_histogram == hist
+    assert record.total == sum(hist.values())
+    assert record.primitive == hist.get(0, 0)
 
 
 def test_payload_shape():
