@@ -3,11 +3,10 @@
 The package is fully functional as pure Python; the Cython extension only
 accelerates the hot Pfaffian/nullity kernel. Without Cython the extension
 is skipped with a note on stderr, and a failed extension build is
-downgraded to a warning, so the pure-Python fallback can still be installed
-(set CAUCHON_PURE_PYTHON=1 to skip the extension deliberately).
+downgraded to a warning; either way the package installs with the
+pure-Python kernel.
 """
 
-import os
 import sys
 import warnings
 
@@ -30,25 +29,24 @@ class optional_build_ext(build_ext):
 
 
 ext_modules = []
-if not os.environ.get("CAUCHON_PURE_PYTHON"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "Cython is not installed: skipping the compiled kernel cauchon._kernel; "
-            "the pure-Python kernel will be used",
-            file=sys.stderr,
-        )
-    else:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "cauchon._kernel",
-                    ["src/cauchon/_kernel.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
+try:
+    from Cython.Build import cythonize
+except ImportError:
+    print(
+        "Cython is not installed: skipping the compiled kernel cauchon._kernel; "
+        "the pure-Python kernel will be used",
+        file=sys.stderr,
+    )
+else:
+    ext_modules = cythonize(
+        [
+            Extension(
+                "cauchon._kernel",
+                ["src/cauchon/_kernel.pyx"],
+                extra_compile_args=["-O3"],
+            )
+        ],
+        compiler_directives={"language_level": "3"},
+    )
 
 setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})

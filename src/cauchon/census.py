@@ -120,9 +120,10 @@ def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
 def _classify_cores(m: int, n: int, workers: int) -> None:
     """Fill in the core histograms of every shape up to m x n not yet classified.
 
-    Each core shape is split by its first row. Shapes with more than 16
-    squares run those partitions in the process pool when there are several
-    workers; everything else runs here.
+    Each core shape is split by its first row. The only 1 x b core is the
+    white row, so a single-row shape is one partition. Shapes with more than
+    16 squares run their partitions in the process pool when there are
+    several workers; everything else runs here.
     """
     shapes = sorted(
         {(min(a, b), max(a, b)) for a in range(1, m + 1) for b in range(1, n + 1)}
@@ -131,7 +132,8 @@ def _classify_cores(m: int, n: int, workers: int) -> None:
     serial: list[tuple[int, int, int]] = []
     pooled: list[tuple[int, int, int]] = []
     for a, b in shapes:
-        for first_row in range((1 << b) - 1):  # any row but the full one
+        first_rows = [0] if a == 1 else range((1 << b) - 1)  # never the full row
+        for first_row in first_rows:
             (pooled if workers > 1 and a * b > 16 else serial).append((a, b, first_row))
     results = [(task, _census_partition(task)) for task in serial]
     if pooled:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import census
@@ -31,7 +30,7 @@ class GuardrailError(Exception):
     def __init__(self, cells: int, limit: int):
         super().__init__(
             f"{cells} cells exceeds the guardrail of {limit}; "
-            f"raise it with --max-cells or CAUCHON_MAX_CELLS"
+            f"raise it with --max-cells"
         )
 
 
@@ -39,22 +38,9 @@ class UsageError(Exception):
     pass
 
 
-def _cell_limit(args: argparse.Namespace) -> int:
-    if getattr(args, "max_cells", None) is not None:
-        return args.max_cells
-    env = os.environ.get("CAUCHON_MAX_CELLS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"CAUCHON_MAX_CELLS must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_CELLS
-
-
 def _guard_cells(cells: int, args: argparse.Namespace) -> None:
-    limit = _cell_limit(args)
-    if cells > limit:
-        raise GuardrailError(cells, limit)
+    if cells > args.max_cells:
+        raise GuardrailError(cells, args.max_cells)
 
 
 def _read_grid(spec: str) -> CauchonDiagram:
@@ -189,17 +175,19 @@ _CHECK_DEFAULTS = {
     "lemma-decomposition": {"max_n": 5},
 }
 
+#: subjects that run censuses, the only ones that take --workers
+_CENSUS_SUBJECTS = {"formula-2xn", "conjecture-3xn"}
+
 _CONJECTURE_SUBJECTS = {"conjecture-3xn", "power-of-two"}
 
 
-def _check_arg(args: argparse.Namespace, subject: str, name: str) -> int:
-    value = getattr(args, name, None)
-    if value is None:
-        value = _CHECK_DEFAULTS[subject].get(name)
-    if value is None:
-        raise UsageError(f"{subject} requires --{name.replace('_', '-')}")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:
-        raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -222,40 +210,34 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rows_out: list[tuple] = []
     header: tuple[str, ...]
 
-    if subject in ("formula-2xn", "conjecture-3xn"):
-        max_n = _check_arg(args, subject, "max_n")
+    if subject in _CENSUS_SUBJECTS:
         grid_rows = 2 if subject == "formula-2xn" else 3
-        _guard_cells(grid_rows * max_n, args)
+        _guard_cells(grid_rows * args.max_n, args)
         formula = census.P2_CLOSED if subject == "formula-2xn" else census.P3_CONJECTURED
-        result = census.check_formula(formula, range(1, max_n + 1), workers=args.workers)
+        result = census.check_formula(formula, range(1, args.max_n + 1), workers=args.workers)
         header = ("n", "formula", "census", "match")
         for row in result:
             rows_out.append((row.n, str(row.expected), row.actual, row.match))
             if not row.match:
                 failures.append(f"n={row.n}: formula={row.expected} census={row.actual}")
     elif subject == "criterion-2xn":
-        max_n = _check_arg(args, subject, "max_n")
-        _guard_cells(2 * max_n, args)
-        result = census.check_criterion_2xn(max_n)
+        _guard_cells(2 * args.max_n, args)
+        result = census.check_criterion_2xn(args.max_n)
         header = ("n", "diagrams", "mismatches")
         for row in result:
             rows_out.append((row.n, row.diagrams, len(row.mismatches)))
             failures.extend(row.mismatches)
     elif subject == "power-of-two":
-        max_rows = _check_arg(args, subject, "max_rows")
-        max_cols = _check_arg(args, subject, "max_cols")
-        _guard_cells(max_rows * max_cols, args)
-        report = census.scan_power_of_two(max_rows, max_cols)
+        _guard_cells(args.max_rows * args.max_cols, args)
+        report = census.scan_power_of_two(args.max_rows, args.max_cols)
         header = ("checked", "violations")
         rows_out.append((report.checked, len(report.violations)))
         failures.extend(
             f"{v.m}x{v.n} pfaffian={v.pfaffian}\n{v.grid}" for v in report.violations
         )
     elif subject == "relation-eqc":
-        m = _check_arg(args, subject, "rows")
-        max_n = _check_arg(args, subject, "max_n")
-        _guard_cells(m * max_n, args)
-        result = census.check_relation_eqc(m, max_n)
+        _guard_cells(args.rows * args.max_n, args)
+        result = census.check_relation_eqc(args.rows, args.max_n)
         header = ("n", "total", "binomial_sum", "match")
         for row in result:
             rows_out.append((row.n, row.total, row.binomial_sum, row.match))
@@ -263,16 +245,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 failures.append(
                     f"n={row.n}: total={row.total} binomial_sum={row.binomial_sum}"
                 )
-    elif subject == "lemma-decomposition":
-        max_n = _check_arg(args, subject, "max_n")
-        _guard_cells(2 * max_n, args)
-        result = census.check_lemma_decomposition(max_n)
+    else:  # lemma-decomposition
+        _guard_cells(2 * args.max_n, args)
+        result = census.check_lemma_decomposition(args.max_n)
         header = ("n", "diagrams", "subsets", "mismatches")
         for row in result:
             rows_out.append((row.n, row.diagrams, row.subsets, len(row.mismatches)))
             failures.extend(row.mismatches)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown check subject {subject!r}")
 
     _emit_check_rows(rows_out, header, fmt)
     if failures:
@@ -337,7 +316,7 @@ def _cmd_matchings(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
-    parser.add_argument("--max-cells", type=int, default=None, help="guardrail on m*n")
+    parser.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS, help="guardrail on m*n")
     if workers:
         parser.add_argument("--workers", type=int, default=None, help="process count (default: all cores)")
 
@@ -373,24 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pfaffian)
 
     p = sub.add_parser("check", help="verify identities and scan conjectures")
-    p.add_argument(
-        "subject",
-        choices=[
-            "formula-2xn",
-            "conjecture-3xn",
-            "criterion-2xn",
-            "power-of-two",
-            "relation-eqc",
-            "lemma-decomposition",
-        ],
-    )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--max-cols", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_common(p, workers=True)
     p.set_defaults(func=_cmd_check)
+    subjects = p.add_subparsers(dest="subject", required=True)
+    for subject, defaults in _CHECK_DEFAULTS.items():
+        s = subjects.add_parser(subject)
+        for name, default in defaults.items():
+            s.add_argument("--" + name.replace("_", "-"), type=_positive_int, default=default)
+        s.add_argument("--format", choices=["text", "csv", "json"], default="text")
+        _add_common(s, workers=subject in _CENSUS_SUBJECTS)
 
     p = sub.add_parser("enumerate", help="stream every diagram of a shape")
     p.add_argument("--rows", type=int, required=True)

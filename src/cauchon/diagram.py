@@ -250,36 +250,26 @@ def format_grid(diagram: CauchonDiagram) -> str:
     return "\n".join(lines)
 
 
-def _lex_key(mask: int, n: int) -> int:
-    # value of the row read left to right, column 1 most significant
-    key = 0
-    for _ in range(n):
-        key = (key << 1) | (mask & 1)
-        mask >>= 1
-    return key
-
-
 @lru_cache(maxsize=None)
 def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     """All admissible next-row masks given the fully-black columns so far.
 
     Every admissible row is a leading black run of some length p, plus black
     squares in fully-black columns strictly right of column p + 1 (column
-    p + 1 itself stays white, which is what makes p the run length). Results
-    are sorted in left-to-right lexicographic order, white first.
+    p + 1 itself stays white, which is what makes p the run length). Rows
+    come out in left-to-right lexicographic order, white first: by run
+    length, and for one run length by doubling the list over its free
+    columns from the rightmost one in, so each added column outranks the
+    ones before it. The full row comes last.
     """
-    full = (1 << n) - 1
-    out = [full]
+    out: list[int] = []
     for p in range(n):
-        prefix = (1 << p) - 1
-        free = above_black & full & ~((1 << (p + 1)) - 1)
-        sub = 0
-        while True:
-            out.append(prefix | sub)
-            if sub == free:
-                break
-            sub = (sub - free) & free
-    out.sort(key=lambda mask: _lex_key(mask, n))
+        rows = [(1 << p) - 1]
+        for bit in range(n - 1, p, -1):
+            if above_black >> bit & 1:
+                rows += [row | 1 << bit for row in rows]
+        out += rows
+    out.append((1 << n) - 1)
     return tuple(out)
 
 
@@ -306,7 +296,7 @@ def _iter_row_masks(
             return
         candidates = _row_candidates(n, above)
         if cores:
-            candidates = candidates[:-1]  # the full mask sorts last
+            candidates = candidates[:-1]  # the full mask comes last
         if level == m - 1:  # leaves, without a generator each
             for mask in candidates:
                 if not (cores and above & mask):

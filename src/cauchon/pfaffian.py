@@ -79,8 +79,7 @@ def pfaffian(diagram: CauchonDiagram) -> int:
 
 def determinant(diagram: CauchonDiagram) -> int:
     """det(A_C) by exact fraction-free elimination; equals pfaffian(C)**2."""
-    matrix = skew_adjacency(diagram).entries
-    return backend.determinant(matrix)
+    return _kernel_py.determinant(skew_adjacency(diagram).entries)
 
 
 def nullity(diagram: CauchonDiagram) -> int:

@@ -2,10 +2,7 @@
 slow reference implementations written here from first principles."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -173,40 +170,3 @@ def test_determinant_against_reference():
 
 def test_active_backend_name():
     assert backend.active_backend() in ("python", "compiled")
-
-
-def _active_backend_in_child(forced):
-    """Run a fresh interpreter with CAUCHON_BACKEND=forced; its stdout names
-    the backend it picked.
-
-    The child inherits this environment with only CAUCHON_BACKEND overridden,
-    so a caller's own setting cannot leak in. The directory holding the
-    imported package goes first on PYTHONPATH, so the child imports this very
-    package whether the suite found it installed or through PYTHONPATH.
-    """
-    import cauchon
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cauchon.__file__)))
-    env = {**os.environ, "CAUCHON_BACKEND": forced}
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", "import cauchon; print(cauchon.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    return out
-
-
-def test_backend_env_forces_python():
-    out = _active_backend_in_child("python")
-    assert out.stdout.strip() == "python", out.stderr
-
-
-@needs_compiled
-def test_backend_env_can_force_compiled():
-    out = _active_backend_in_child("compiled")
-    assert out.stdout.strip() == "compiled", out.stderr

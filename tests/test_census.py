@@ -60,6 +60,22 @@ def test_census_transpose_symmetry():
     assert all(hist == histograms[0] for hist in histograms)
 
 
+@pytest.mark.parametrize("m,n", [(2, 9), (5, 4)])
+def test_census_runs_no_empty_partition(m, n, monkeypatch):
+    partition = census._census_partition
+    sizes = []
+
+    def sized(task):
+        hist = partition(task)
+        sizes.append(sum(hist.values()))
+        return hist
+
+    monkeypatch.setattr(census, "_census_partition", sized)
+    census._core_histograms.clear()
+    run_census(m, n, workers=1)
+    assert sizes and all(sizes)
+
+
 def _oracle_histogram(m: int, n: int) -> dict[int, int]:
     """Nullity histogram with every diagram, black lines and all, run through the kernel."""
     hist: dict[int, int] = {}

@@ -120,29 +120,6 @@ def test_guardrail_flag_override(capsys):
     assert "total:" in out
 
 
-def test_guardrail_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("CAUCHON_MAX_CELLS", "5")
-    code, _, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "4")
-    assert code == 3
-    monkeypatch.setenv("CAUCHON_MAX_CELLS", "8")
-    code, _, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "4")
-    assert code == 0
-
-
-def test_guardrail_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CAUCHON_MAX_CELLS", "5")
-    code, _, _ = run_cli(
-        capsys, "count", "--rows", "2", "--cols", "4", "--max-cells", "8"
-    )
-    assert code == 0
-
-
-def test_guardrail_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CAUCHON_MAX_CELLS", "lots")
-    code, _, err = run_cli(capsys, "count", "--rows", "6", "--cols", "6")
-    assert code == 2
-
-
 # --- table --------------------------------------------------------------------------
 
 
@@ -277,6 +254,22 @@ def test_check_csv_format(capsys):
 def test_check_guardrail(capsys):
     code, _, err = run_cli(capsys, "check", "formula-2xn", "--max-n", "20")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "power-of-two", "--max-n", "5"],
+        ["check", "criterion-2xn", "--workers", "2"],
+        ["check", "formula-2xn", "--max-n", "0"],
+    ],
+)
+def test_check_rejects_options_the_subject_does_not_take(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
 
 
 def test_check_mismatch_exits_1_and_shows_row(capsys, monkeypatch):

@@ -177,7 +177,8 @@ def row_major_string(diagram):
     return format_grid(diagram).replace("\n", "").replace(".", "0").replace("#", "1")
 
 
-@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3), (4, 2)])
+# 2 x 7 reaches every fully-black-column state of width 7 as a second row
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 3), (3, 3), (4, 2), (2, 7), (1, 10)])
 def test_enumerate_is_lexicographic_and_duplicate_free(m, n):
     seen = [row_major_string(d) for d in enumerate_diagrams(m, n)]
     assert seen == sorted(seen)
