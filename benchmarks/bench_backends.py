@@ -2,8 +2,8 @@
 """Benchmark the compiled condensation kernel against the pure-Python one.
 
 Classifies (Pfaffian + nullity) every diagram of one shape through both
-kernels and reports per-diagram timings, then times the public census
-engine on one worker, which runs the kernel only on the shape's cores.
+kernels and reports per-diagram timings, then times the public census,
+which runs no kernel: one transfer pass over row states.
 Run from the repository root:
 
     python benchmarks/bench_backends.py --rows 4 --cols 4
@@ -60,12 +60,11 @@ def main() -> None:
             assert compiled.classify_cells(rows, cols) == _kernel_py.classify_cells(rows, cols)
         print("agreement   : identical results on the whole workload")
 
-    record = census.run_census(args.rows, args.cols, workers=1)
-    # the census runs the kernel once per core, not once per diagram
-    cores = sum(sum(hist.values()) for hist in census._core_histograms.values())
+    record = census.run_census(args.rows, args.cols)
+    states = len(census._transfer(min(args.rows, args.cols), max(args.rows, args.cols)))
     print(
-        f"census      : total={record.total} cores classified={cores} "
-        f"primitive={record.primitive} in {record.elapsed:.3f}s (one worker, active kernel)"
+        f"census      : total={record.total} final transfer states={states} "
+        f"primitive={record.primitive} in {record.elapsed:.3f}s"
     )
 
 

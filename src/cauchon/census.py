@@ -1,15 +1,20 @@
 """Exhaustive census of diagrams: primitive counts, histograms, formula checks.
 
-The engine runs the exact kernel (nullity of the skew adjacency matrix;
-nullity 0 means primitive) only on cores: diagrams with no entirely black
-row and no entirely black column. Deleting black lines from a diagram
-leaves its white squares, and so its matrix, unchanged, and inserting them
-into a core gives a diagram again, so the nullity histogram of an m x n
-census is a binomial-weighted sum of core histograms. Each core shape is
-classified once per process, and its transpose, which has the same
-nullities, reuses it. A shape's cores are partitioned by their first row's
-black mask into independent sub-enumerations whose histograms merge by
-plain addition, so results are identical for any worker count and schedule.
+The census classifies diagrams by the nullity of their skew adjacency
+matrix (nullity 0 means primitive) without building a single matrix. By
+Bell, Casteels and Launois ("Enumeration of H-strata in quantum matrices
+with respect to dimension", J. Combin. Theory Ser. A 119, 2012), that
+nullity is the number of even-length cycles of the diagram's toric
+permutation: the pipe dream in which black squares are crosses and white
+squares elbows (Postnikov, arXiv math/0609764). The permutation is built
+one row at a time, so a transfer pass over row states replaces the
+enumeration. A state holds the mask of columns black so far, which decides
+the rows that may follow, and for each column wire the label it has reached
+and the parity of the path that took it there. Diagrams that reach the same
+state have the same nullity whatever rows follow, so each state carries
+only a count of diagrams. The pass runs over rows of the shorter side, since
+a diagram and its transpose have the same nullity, in one process with
+exact integer counts.
 
 Closed formulas live in a small registry keyed by formula id, and the
 check_* helpers turn the known identities and conjectures into executable
@@ -19,8 +24,6 @@ found"; nothing here claims a proof.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +35,7 @@ from .criterion import column_label_sum, primitive_1xn, primitive_2xn_fast, two_
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
+    _row_candidates,
     _white_cols,  # noqa: F401  (perfbench reads this cache's statistics here)
     canonical_labels,
     format_grid,
@@ -97,96 +101,92 @@ class CensusRecord:
         }
 
 
-#: nullity histograms of the cores classified so far in this process, keyed
-#: by (shorter side, longer side): a core and its transpose have equal nullity
-_core_histograms: dict[tuple[int, int], dict[int, int]] = {}
-
-
-def _census_partition(args: tuple[int, int, int]) -> dict[int, int]:
-    """Nullity histogram of the a x b cores with the given first row."""
-    a, b, first_row = args
-    hist: dict[int, int] = {}
-    for masks in _iter_row_masks(a, b, first_row=first_row, cores=True):
-        nul = _classify_masks(masks, b)[1]
-        hist[nul] = hist.get(nul, 0) + 1
-    return hist
-
-
 def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
     rows, cols = white_coordinates(masks, n)
     return backend.classify_cells(rows, cols)
 
 
-def _classify_cores(m: int, n: int, workers: int) -> None:
-    """Fill in the core histograms of every shape up to m x n not yet classified.
+def _wire_moves(width: int, row: int) -> tuple[tuple[int, int], ...]:
+    """(source wire, parity flip) for each column wire across one row.
 
-    Each core shape is split by its first row. The only 1 x b core is the
-    white row, so a single-row shape is one partition. Shapes with more than
-    16 squares run their partitions in the process pool when there are
-    several workers; everything else runs here.
+    The white columns j_1 < ... < j_k of the row (black where ``row`` has a
+    bit) each take the wire of the white column before them, and j_1 takes
+    the wire of j_k with its parity flipped. Black columns keep their wires.
     """
-    shapes = sorted(
-        {(min(a, b), max(a, b)) for a in range(1, m + 1) for b in range(1, n + 1)}
-        - _core_histograms.keys()
-    )
-    serial: list[tuple[int, int, int]] = []
-    pooled: list[tuple[int, int, int]] = []
-    for a, b in shapes:
-        first_rows = [0] if a == 1 else range((1 << b) - 1)  # never the full row
-        for first_row in first_rows:
-            (pooled if workers > 1 and a * b > 16 else serial).append((a, b, first_row))
-    results = [(task, _census_partition(task)) for task in serial]
-    if pooled:
-        chunk = max(1, len(pooled) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            results += zip(pooled, pool.map(_census_partition, pooled, chunksize=chunk))
-    # stored only once complete, so an interrupted run leaves no partial entry
-    found: dict[tuple[int, int], dict[int, int]] = {shape: {} for shape in shapes}
-    for (a, b, _), part in results:
-        hist = found[a, b]
-        for nul, count in part.items():
-            hist[nul] = hist.get(nul, 0) + count
-    _core_histograms.update(found)
+    moves = [(j, 0) for j in range(width)]
+    white = [j for j in range(width) if not row >> j & 1]
+    for before, after in zip(white, white[1:]):
+        moves[after] = (before, 0)
+    if white:
+        moves[white[0]] = (white[-1], 1)
+    return tuple(moves)
 
 
-def _core_histogram(a: int, b: int) -> dict[int, int]:
-    if a == 0 or b == 0:
-        # only the empty grid has no black line when a side is zero
-        return {0: 1} if a == b else {}
-    return _core_histograms[min(a, b), max(a, b)]
+def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The states the ``rows`` x ``width`` diagrams end in, each with its diagram count.
+
+    A state is (black-column mask, wires): wire w holds 2 * pi(w) + parity,
+    where pi is a permutation of the columns. The start is the full mask,
+    the identity and every parity odd.
+    """
+    states = {((1 << width) - 1, tuple(2 * w + 1 for w in range(width))): 1}
+    moves: dict[int, tuple[tuple[int, int], ...]] = {}
+    for _ in range(rows):
+        new: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (above, wires), count in states.items():
+            for row in _row_candidates(width, above):
+                if row not in moves:
+                    moves[row] = _wire_moves(width, row)
+                key = (above & row, tuple([wires[src] ^ flip for src, flip in moves[row]]))
+                new[key] = new.get(key, 0) + count
+        states = new
+    return states
 
 
-def run_census(m: int, n: int, workers: int | None = None) -> CensusRecord:
-    """Classify all of C_{m,n} through its cores, with the full nullity histogram.
+def _even_cycles(wires: Sequence[int]) -> int:
+    """Number of cycles of the wire permutation whose parities sum to even."""
+    seen = [False] * len(wires)
+    count = 0
+    for start in range(len(wires)):
+        if seen[start]:
+            continue
+        parity = 0
+        w = start
+        while not seen[w]:
+            seen[w] = True
+            parity ^= wires[w] & 1
+            w = wires[w] >> 1
+        count += not parity
+    return count
 
-    Deleting every entirely black row and column of a diagram leaves a core,
-    with the same white squares and so the same skew adjacency matrix;
-    inserting black lines into a core gives a diagram back. So C_{m,n} is
-    the union over i, j of C(m, i) * C(n, j) copies of the cores of shape
-    (m - i) x (n - j), and the histogram is that binomial-weighted sum of
-    core histograms. Only cores run through the kernel, each shape once per
-    process: later calls, and transposed shapes, reuse them.
 
-    Results do not depend on ``workers``; the default uses all cores.
+def _transfer_histogram(width: int, rows: int) -> dict[int, int]:
+    """Nullity histogram of the ``rows`` x ``width`` diagrams, from one transfer."""
+    hist: dict[int, int] = {}
+    for (_, wires), count in _transfer(width, rows).items():
+        nul = _even_cycles(wires)
+        hist[nul] = hist.get(nul, 0) + count
+    return dict(sorted(hist.items()))
+
+
+def run_census(m: int, n: int) -> CensusRecord:
+    """Classify all of C_{m,n} in one transfer pass, with the full nullity histogram.
+
+    The nullity of a diagram's skew adjacency matrix is the number of even
+    cycles of its toric permutation (Bell, Casteels and Launois 2012), and
+    that permutation is built row by row. The pass runs over rows of the
+    shorter side: a diagram and its transpose have the same nullity.
     """
     if m < 1 or n < 0:
         raise ValueError(f"grid shape {m}x{n} is not valid")
-    if workers is None or workers <= 0:
-        workers = os.cpu_count() or 1
     start = time.perf_counter()
-    _classify_cores(m, n, workers)
-    hist: dict[int, int] = {}
-    for i in range(m + 1):
-        for j in range(n + 1):
-            weight = comb(m, i) * comb(n, j)
-            for nul, count in _core_histogram(m - i, n - j).items():
-                hist[nul] = hist.get(nul, 0) + weight * count
+    hist = _transfer_histogram(min(m, n), max(m, n))
     return CensusRecord(
         m=m,
         n=n,
         total=sum(hist.values()),
         primitive=hist.get(0, 0),
-        nullity_histogram=dict(sorted(hist.items())),
+        nullity_histogram=hist,
         elapsed=time.perf_counter() - start,
     )
 
@@ -267,9 +267,7 @@ class FormulaCheckRow:
 _FORMULA_ROWS = {P1_CLOSED: 1, P2_CLOSED: 2, P3_CONJECTURED: 3}
 
 
-def check_formula(
-    formula_id: str, ns: Iterable[int], workers: int | None = None
-) -> list[FormulaCheckRow]:
+def check_formula(formula_id: str, ns: Iterable[int]) -> list[FormulaCheckRow]:
     """Compare a sequence formula against censused values, one row per n.
 
     Matches are exact integer equality. For conjectured formulas agreement
@@ -279,9 +277,9 @@ def check_formula(
     for n in ns:
         expected = formula_value(formula_id, n=n)
         if formula_id in _FORMULA_ROWS:
-            actual = run_census(_FORMULA_ROWS[formula_id], n, workers=workers).primitive
+            actual = run_census(_FORMULA_ROWS[formula_id], n).primitive
         elif formula_id == C2_TOTAL:
-            actual = run_census(2, n, workers=workers).total
+            actual = run_census(2, n).total
         elif formula_id == C2_PRIME_TOTAL:
             actual = _count_no_black_column_by_enumeration(2, n)
         elif formula_id == PROPORTION_LIMIT:
@@ -454,9 +452,9 @@ def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
     return rows
 
 
-def proportion(m: int, n: int, workers: int | None = None) -> Fraction:
+def proportion(m: int, n: int) -> Fraction:
     """P(m,n) / |C_{m,n}| as an exact (reduced) rational."""
-    return run_census(m, n, workers=workers).proportion()
+    return run_census(m, n).proportion()
 
 
 # --- exploratory power-sum fit ------------------------------------------------

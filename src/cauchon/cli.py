@@ -68,7 +68,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 0:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
     _guard_cells(args.rows * args.cols, args)
-    record = census.run_census(args.rows, args.cols, workers=args.workers)
+    record = census.run_census(args.rows, args.cols)
     if args.format == "csv":
         print(_CSV_HEADER)
         print(_census_csv_row(record))
@@ -100,7 +100,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     elapsed = 0.0
     for m in range(1, args.max_rows + 1):
         for n in range(1, args.max_cols + 1):
-            record = census.run_census(m, n, workers=args.workers)
+            record = census.run_census(m, n)
             records.append(record)
             elapsed += record.elapsed
     if args.format == "csv":
@@ -214,7 +214,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         grid_rows = 2 if subject == "formula-2xn" else 3
         _guard_cells(grid_rows * args.max_n, args)
         formula = census.P2_CLOSED if subject == "formula-2xn" else census.P3_CONJECTURED
-        result = census.check_formula(formula, range(1, args.max_n + 1), workers=args.workers)
+        result = census.check_formula(formula, range(1, args.max_n + 1))
         header = ("n", "formula", "census", "match")
         for row in result:
             rows_out.append((row.n, str(row.expected), row.actual, row.match))
@@ -318,7 +318,10 @@ def _cmd_matchings(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
     parser.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS, help="guardrail on m*n")
     if workers:
-        parser.add_argument("--workers", type=int, default=None, help="process count (default: all cores)")
+        # kept so that existing command lines that pass it still parse
+        parser.add_argument(
+            "--workers", type=_positive_int, default=1, help="ignored: the census runs in one process"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -273,49 +273,26 @@ def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _iter_row_masks(
-    m: int, n: int, first_row: int | None = None, *, cores: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Yield the row-mask tuples of every m x n diagram in lexicographic order.
-
-    ``first_row`` restricts the stream to diagrams whose first row equals the
-    given mask (any mask is admissible as a first row); this is the unit of
-    work for parallel partitioning.
-
-    With ``cores`` only the cores are yielded: the diagrams with no entirely
-    black row and no entirely black column. The search never takes the full
-    row mask and keeps a leaf only when no column is black all the way down,
-    so it does not visit the other diagrams one by one.
-    """
-    full = (1 << n) - 1
+def _iter_row_masks(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the row-mask tuples of every m x n diagram in lexicographic order."""
 
     def rec(level: int, above: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if level == m:
-            if not (cores and above):
-                yield tuple(acc)
+            yield tuple(acc)
             return
         candidates = _row_candidates(n, above)
-        if cores:
-            candidates = candidates[:-1]  # the full mask comes last
         if level == m - 1:  # leaves, without a generator each
             for mask in candidates:
-                if not (cores and above & mask):
-                    acc.append(mask)
-                    yield tuple(acc)
-                    acc.pop()
+                acc.append(mask)
+                yield tuple(acc)
+                acc.pop()
             return
         for mask in candidates:
             acc.append(mask)
             yield from rec(level + 1, above & mask, acc)
             acc.pop()
 
-    if first_row is None:
-        yield from rec(0, full, [])
-    else:
-        if first_row & ~full:
-            raise ValueError(f"first row mask {first_row:#x} has bits beyond column {n}")
-        if not (cores and first_row == full):
-            yield from rec(1, full & first_row, [first_row])
+    yield from rec(0, (1 << n) - 1, [])
 
 
 def enumerate_diagrams(m: int, n: int) -> Iterator[CauchonDiagram]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -15,11 +16,11 @@ from cauchon.census import (
     run_census,
     scan_power_of_two,
 )
-from cauchon.diagram import _iter_row_masks, white_coordinates
+from cauchon.diagram import _iter_row_masks, count_diagrams, white_coordinates
 
 
 def test_census_2x2():
-    record = run_census(2, 2, workers=1)
+    record = run_census(2, 2)
     assert record.total == 14
     assert record.primitive == 5
     assert record.nullity_histogram[0] == record.primitive
@@ -27,13 +28,13 @@ def test_census_2x2():
 
 
 def test_census_1x1():
-    record = run_census(1, 1, workers=1)
+    record = run_census(1, 1)
     assert (record.total, record.primitive) == (2, 1)
     assert record.nullity_histogram == {0: 1, 1: 1}
 
 
 def test_census_empty_cols():
-    record = run_census(3, 0, workers=1)
+    record = run_census(3, 0)
     assert (record.total, record.primitive) == (1, 1)
 
 
@@ -42,38 +43,43 @@ def test_census_rejects_bad_args():
         run_census(0, 2)
 
 
-def test_census_worker_invariance():
-    # 3 x 6 cores have 18 squares, so with several workers they run in the pool
-    payloads = []
-    for workers in (1, 2, 4):
-        census._core_histograms.clear()
-        payloads.append(run_census(3, 6, workers=workers).to_payload())
+def test_census_repeat_calls_agree():
+    payloads = [run_census(3, 6).to_payload() for _ in range(3)]
     assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_census_transpose_symmetry():
-    # whichever shape comes first classifies the cores both of them use
-    histograms = []
-    for order in ((3, 4), (4, 3)), ((4, 3), (3, 4)):
-        census._core_histograms.clear()
-        histograms += [run_census(m, n, workers=1).nullity_histogram for m, n in order]
-    assert all(hist == histograms[0] for hist in histograms)
+    assert run_census(3, 4).nullity_histogram == run_census(4, 3).nullity_histogram
 
 
-@pytest.mark.parametrize("m,n", [(2, 9), (5, 4)])
-def test_census_runs_no_empty_partition(m, n, monkeypatch):
-    partition = census._census_partition
-    sizes = []
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
+def test_transfer_widths_agree(m, n):
+    # run_census always takes the shorter side as the width; this also
+    # runs the longer one, which gives the same diagrams transposed
+    assert census._transfer_histogram(m, n) == census._transfer_histogram(n, m)
 
-    def sized(task):
-        hist = partition(task)
-        sizes.append(sum(hist.values()))
-        return hist
 
-    monkeypatch.setattr(census, "_census_partition", sized)
-    census._core_histograms.clear()
-    run_census(m, n, workers=1)
-    assert sizes and all(sizes)
+def _stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, from its alternating sum."""
+    return sum((-1) ** (k - i) * comb(k, i) * i**n for i in range(k + 1)) // factorial(k)
+
+
+def _poly_bernoulli(m: int, n: int) -> int:
+    """|C_{m,n}| as the poly-Bernoulli number sum_j (j!)^2 S(n+1, j+1) S(m+1, j+1)."""
+    return sum(
+        factorial(j) ** 2 * _stirling2(n + 1, j + 1) * _stirling2(m + 1, j + 1)
+        for j in range(min(m, n) + 1)
+    )
+
+
+def test_poly_bernoulli_totals():
+    for m in range(1, 8):
+        for n in range(0, 12):
+            assert count_diagrams(m, n) == _poly_bernoulli(m, n), (m, n)
+    for m in range(1, 31):
+        for n in range(0, 31):
+            if m * n <= 30:
+                assert run_census(m, n).total == _poly_bernoulli(m, n), (m, n)
 
 
 def _oracle_histogram(m: int, n: int) -> dict[int, int]:
@@ -98,8 +104,7 @@ ORACLE_SHAPES = [(m, 0) for m in range(1, 4)] + [
 
 @pytest.mark.parametrize("m,n", ORACLE_SHAPES)
 def test_census_matches_per_diagram_oracle(m, n):
-    census._core_histograms.clear()
-    record = run_census(m, n, workers=1)
+    record = run_census(m, n)
     hist = _oracle_histogram(m, n)
     assert record.nullity_histogram == hist
     assert record.total == sum(hist.values())
@@ -107,7 +112,7 @@ def test_census_matches_per_diagram_oracle(m, n):
 
 
 def test_payload_shape():
-    payload = run_census(2, 2, workers=1).to_payload()
+    payload = run_census(2, 2).to_payload()
     assert payload["proportion_num"] == 5
     assert payload["proportion_den"] == 14
     assert payload["nullity_histogram"]["0"] == 5
@@ -147,13 +152,13 @@ def test_formula_errors():
     ],
 )
 def test_check_formula_small_ranges(formula_id, values):
-    rows = check_formula(formula_id, range(1, len(values) + 1), workers=1)
+    rows = check_formula(formula_id, range(1, len(values) + 1))
     assert [row.actual for row in rows] == values
     assert all(row.match for row in rows)
 
 
 def test_check_formula_conjecture_3xn_small():
-    rows = check_formula("P3_conjectured", range(1, 5), workers=1)
+    rows = check_formula("P3_conjectured", range(1, 5))
     assert [row.actual for row in rows] == [4, 17, 70, 329]
     assert all(row.match for row in rows)
 
@@ -182,7 +187,7 @@ def test_scan_power_of_two_small():
     report = scan_power_of_two(2, 4)
     assert report.ok
     assert report.checked == sum(
-        census.run_census(m, n, workers=1).total for m in (1, 2) for n in range(1, 5)
+        census.run_census(m, n).total for m in (1, 2) for n in range(1, 5)
     )
 
 
@@ -202,9 +207,9 @@ def test_check_lemma_decomposition_small():
 
 
 def test_proportion_examples():
-    assert proportion(1, 4, workers=1) == Fraction(1, 2)
-    assert proportion(2, 2, workers=1) == Fraction(5, 14)
-    assert run_census(2, 0, workers=1).proportion() == Fraction(1, 1)
+    assert proportion(1, 4) == Fraction(1, 2)
+    assert proportion(2, 2) == Fraction(5, 14)
+    assert run_census(2, 0).proportion() == Fraction(1, 1)
 
 
 # --- exploratory power-sum fit ------------------------------------------------------

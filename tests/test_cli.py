@@ -95,6 +95,22 @@ def test_count_deterministic_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--rows", "2", "--cols", "2"],
+        ["table", "--max-rows", "2", "--max-cols", "2"],
+        ["check", "formula-2xn"],
+        ["check", "conjecture-3xn"],
+    ],
+)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(argv, workers):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--workers", workers])
+    assert err.value.code == 2
+
+
 # --- guardrail --------------------------------------------------------------------
 
 

@@ -19,7 +19,6 @@ from cauchon import (
     validate,
     with_labels,
 )
-from cauchon.diagram import _iter_row_masks
 from conftest import GRID_4x6
 
 
@@ -200,25 +199,6 @@ def test_enumerate_matches_filtering_all_masks(m, n):
             expected.add(frozenset(cells))
     got = {frozenset(d.black_cells()) for d in enumerate_diagrams(m, n)}
     assert got == expected
-
-
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(0, 5)])
-def test_core_search_matches_filtered_stream(m, n):
-    full = (1 << n) - 1
-    expected = []
-    for masks in _iter_row_masks(m, n):
-        black_columns = full
-        for mask in masks:
-            black_columns &= mask
-        if full not in masks and not black_columns:
-            expected.append(masks)
-    assert list(_iter_row_masks(m, n, cores=True)) == expected
-    by_first_row = [
-        masks
-        for first_row in range(full + 1)
-        for masks in _iter_row_masks(m, n, first_row=first_row, cores=True)
-    ]
-    assert sorted(by_first_row) == sorted(expected)
 
 
 # --- counting ---------------------------------------------------------------
