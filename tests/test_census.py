@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,6 +17,7 @@ from cauchon.census import (
     run_census,
     scan_power_of_two,
 )
+from cauchon.cli import main as cli_main
 from cauchon.diagram import _iter_row_masks, count_diagrams, white_coordinates
 
 
@@ -46,6 +48,17 @@ def test_census_rejects_bad_args():
 def test_census_repeat_calls_agree():
     payloads = [run_census(3, 6).to_payload() for _ in range(3)]
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_census_worker_invariance(capsys):
+    # --workers still parses on count but must not change what it prints
+    outputs = []
+    for workers in ("1", "2", "4"):
+        argv = ["count", "--rows", "3", "--cols", "6", "--histogram", "--format", "json"]
+        assert cli_main([*argv, "--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0]) == run_census(3, 6).to_payload()
 
 
 def test_census_transpose_symmetry():

@@ -8,7 +8,9 @@ from cauchon import (
     GridError,
     NonRectangularError,
     NotCauchonError,
+    backend,
     canonical_labels,
+    census,
     count_diagrams,
     count_diagrams_no_black_column,
     enumerate_diagrams,
@@ -19,6 +21,7 @@ from cauchon import (
     validate,
     with_labels,
 )
+from cauchon.diagram import _iter_row_masks, white_coordinates
 from conftest import GRID_4x6
 
 
@@ -199,6 +202,28 @@ def test_enumerate_matches_filtering_all_masks(m, n):
             expected.add(frozenset(cells))
     got = {frozenset(d.black_cells()) for d in enumerate_diagrams(m, n)}
     assert got == expected
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(0, 5)])
+def test_core_search_matches_filtered_stream(m, n):
+    # replaying every diagram of the enumeration stream through the census's
+    # row moves must give exactly the state counts of its transfer search,
+    # and on the cores (no black row, no black column) the state's even
+    # cycles must be the nullity the kernel finds
+    full = (1 << n) - 1
+    replayed = {}
+    for masks in _iter_row_masks(m, n):
+        black_columns = full
+        wires = tuple(2 * w + 1 for w in range(n))
+        for mask in masks:
+            black_columns &= mask
+            wires = tuple(wires[src] ^ flip for src, flip in census._wire_moves(n, mask))
+        key = (black_columns, wires)
+        replayed[key] = replayed.get(key, 0) + 1
+        if full not in masks and not black_columns:
+            nullity = backend.classify_cells(*white_coordinates(masks, n))[1]
+            assert census._even_cycles(wires) == nullity, masks
+    assert census._transfer(n, m) == replayed
 
 
 # --- counting ---------------------------------------------------------------
