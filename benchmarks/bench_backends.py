@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled condensation kernel against the pure-Python one.
+"""Benchmark the exact condensation kernel and the census on one shape.
 
-Classifies (Pfaffian + nullity) every diagram of one shape through both
-kernels and reports per-diagram timings, then times the public census,
+Classifies (Pfaffian + nullity) every diagram of one shape through the
+kernel and reports the per-diagram timing, then times the public census,
 which runs no kernel: one transfer pass over row states.
 Run from the repository root:
 
@@ -12,13 +12,8 @@ Run from the repository root:
 import argparse
 import time
 
-from cauchon import _kernel_py, census
+from cauchon import backend, census
 from cauchon.diagram import _iter_row_masks, white_coordinates
-
-try:
-    from cauchon import _kernel as compiled
-except ImportError:
-    compiled = None
 
 
 def time_kernel(classify, workload, repeats: int) -> float:
@@ -46,19 +41,8 @@ def main() -> None:
     count = len(workload)
     print(f"shape {args.rows}x{args.cols}: {count} diagrams")
 
-    py_time = time_kernel(_kernel_py.classify_cells, workload, args.repeats)
-    print(f"pure python : {py_time:8.3f}s  ({1e6 * py_time / count:8.2f} us/diagram)")
-
-    if compiled is None:
-        print("compiled    : not built (pip install -e . builds it when Cython is present)")
-    else:
-        c_time = time_kernel(compiled.classify_cells, workload, args.repeats)
-        print(f"compiled    : {c_time:8.3f}s  ({1e6 * c_time / count:8.2f} us/diagram)")
-        print(f"speedup     : {py_time / c_time:8.2f}x")
-
-        for rows, cols in workload:
-            assert compiled.classify_cells(rows, cols) == _kernel_py.classify_cells(rows, cols)
-        print("agreement   : identical results on the whole workload")
+    kernel_time = time_kernel(backend.classify_cells, workload, args.repeats)
+    print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram)")
 
     record = census.run_census(args.rows, args.cols)
     states = len(census._transfer(min(args.rows, args.cols), max(args.rows, args.cols)))

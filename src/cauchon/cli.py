@@ -44,10 +44,15 @@ def _guard_cells(cells: int, args: argparse.Namespace) -> None:
 
 
 def _read_grid(spec: str) -> CauchonDiagram:
-    if spec == "-":
-        return parse_grid(sys.stdin.read())
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_grid(fh.read())
+    try:
+        if spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridError(f"cannot read grid {spec}: {exc}") from exc
+    return parse_grid(text)
 
 
 def _print_elapsed(seconds: float) -> None:
@@ -391,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
     except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BrokenPipeError:

@@ -328,7 +328,8 @@ def count_diagrams(m: int, n: int) -> int:
     """
     if m < 1 or n < 0:
         raise ValueError(f"grid shape {m}x{n} is not valid")
-    return sum(_state_counts(m, n).values())
+    # |C_{m,n}| = |C_{n,m}| by transposition; the row width sets the cost
+    return sum(_state_counts(max(m, n), min(m, n)).values())
 
 
 def count_diagrams_no_black_column(m: int, n: int) -> int:

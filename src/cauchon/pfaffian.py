@@ -9,15 +9,15 @@ variables of the associated quantum torus (for skew-symmetric matrices the
 kernel of the transpose has the same dimension, so a single nullity is
 exposed).
 
-All arithmetic is exact; elimination runs through the selected backend
-kernel (compiled or pure Python), never floating point.
+All arithmetic is exact; elimination runs through the integer condensation
+kernel in ``backend``, never floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernel_py, backend
+from . import backend
 from .diagram import CauchonDiagram, LabeledCauchonDiagram, white_coordinates
 
 __all__ = [
@@ -59,7 +59,7 @@ def skew_adjacency(source: CauchonDiagram | LabeledCauchonDiagram) -> SkewAdjace
     """
     diagram = source.diagram if isinstance(source, LabeledCauchonDiagram) else source
     rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
-    entries = _kernel_py.skew_matrix(rows, cols)
+    entries = backend.skew_matrix(rows, cols)
     return SkewAdjacency(len(rows), tuple(tuple(row) for row in entries))
 
 
@@ -79,7 +79,7 @@ def pfaffian(diagram: CauchonDiagram) -> int:
 
 def determinant(diagram: CauchonDiagram) -> int:
     """det(A_C) by exact fraction-free elimination; equals pfaffian(C)**2."""
-    return _kernel_py.determinant(skew_adjacency(diagram).entries)
+    return backend.determinant(skew_adjacency(diagram).entries)
 
 
 def nullity(diagram: CauchonDiagram) -> int:

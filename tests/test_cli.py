@@ -213,9 +213,18 @@ def test_pfaffian_invalid_grid_exit_4(capsys, monkeypatch):
     assert "(2, 2)" in err
 
 
-def test_pfaffian_missing_file_exit_4(capsys):
-    code, _, _ = run_cli(capsys, "pfaffian", "--grid", "/no/such/file")
-    assert code == 4
+def test_pfaffian_missing_file_exit_4(capsys, tmp_path):
+    not_utf8 = tmp_path / "grid.txt"
+    not_utf8.write_bytes(b"\xff\xfe..")
+    for command, path in [
+        ("pfaffian", "/no/such/file"),
+        ("pfaffian", str(tmp_path)),
+        ("pfaffian", str(not_utf8)),
+        ("matchings", str(not_utf8)),
+    ]:
+        code, out, err = run_cli(capsys, command, "--grid", path)
+        assert (code, out) == (4, ""), (command, path)
+        assert "cannot read grid" in err
 
 
 # --- check -----------------------------------------------------------------------------
