@@ -17,9 +17,11 @@ a diagram and its transpose have the same nullity, in one process with
 exact integer counts.
 
 Closed formulas live in a small registry keyed by formula id, and the
-check_* helpers turn the known identities and conjectures into executable
-reports. Conjectured formulas are only ever reported as "no counterexample
-found"; nothing here claims a proof.
+check_* and scan_* helpers turn the known identities and conjectures into
+executable reports. Each returns a ``CheckReport``: a header, one row per
+tested size keyed by the header's column names, and the failure messages.
+Conjectured formulas are only ever reported as "no counterexample found";
+nothing here claims a proof.
 """
 
 from __future__ import annotations
@@ -30,18 +32,17 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import backend
 from .criterion import column_label_sum, primitive_1xn, primitive_2xn_fast, two_row_stats
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
     _row_candidates,
-    _white_cols,  # noqa: F401  (perfbench reads this cache's statistics here)
     canonical_labels,
+    enumerate_diagrams,
     format_grid,
-    white_coordinates,
 )
 from .matching import pfaffian_by_matchings, vert_partition_sum
+from .pfaffian import pfaffian
 
 __all__ = [
     "CensusRecord",
@@ -49,17 +50,12 @@ __all__ = [
     "FORMULA_IDS",
     "UnknownFormulaError",
     "formula_value",
-    "FormulaCheckRow",
+    "CheckReport",
     "check_formula",
-    "RelationRow",
     "check_relation_eqc",
-    "PowerOfTwoViolation",
-    "PowerOfTwoReport",
     "scan_power_of_two",
-    "CriterionRow",
     "check_criterion_2xn",
     "check_primitive_1xn",
-    "LemmaRow",
     "check_lemma_decomposition",
     "proportion",
     "fit_power_sum_coefficients",
@@ -99,11 +95,6 @@ class CensusRecord:
             "proportion_den": prop.denominator,
             "nullity_histogram": hist,
         }
-
-
-def _classify_masks(masks: Sequence[int], n: int) -> tuple[int, int]:
-    rows, cols = white_coordinates(masks, n)
-    return backend.classify_cells(rows, cols)
 
 
 def _wire_moves(width: int, row: int) -> tuple[tuple[int, int], ...]:
@@ -209,9 +200,6 @@ FORMULA_IDS = (
     PROPORTION_LIMIT,
 )
 
-#: ids whose value is conjectural: checks report agreement, never proof
-CONJECTURED_FORMULA_IDS = (P3_CONJECTURED,)
-
 
 class UnknownFormulaError(ValueError):
     """Formula id outside the registry."""
@@ -257,76 +245,60 @@ def _count_no_black_column_by_enumeration(m: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class FormulaCheckRow:
-    n: int
-    expected: Fraction
-    actual: int
-    match: bool
+class CheckReport:
+    """Outcome of one check: rows keyed by the ``header`` columns, and failures.
+
+    Each failure is a message ready to print. No failures means the identity
+    held on the tested range or, for a conjecture, no counterexample was found.
+    """
+
+    header: tuple[str, ...]
+    rows: list[dict]
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 _FORMULA_ROWS = {P1_CLOSED: 1, P2_CLOSED: 2, P3_CONJECTURED: 3}
 
 
-def check_formula(formula_id: str, ns: Iterable[int]) -> list[FormulaCheckRow]:
+def check_formula(formula_id: str, ns: Iterable[int]) -> CheckReport:
     """Compare a sequence formula against censused values, one row per n.
 
     Matches are exact integer equality. For conjectured formulas agreement
     means only "no counterexample in the tested range".
     """
-    rows = []
+    rows, failures = [], []
     for n in ns:
+        # raises for unknown ids and for the limit, which has no per-n value
         expected = formula_value(formula_id, n=n)
-        if formula_id in _FORMULA_ROWS:
-            actual = run_census(_FORMULA_ROWS[formula_id], n).primitive
-        elif formula_id == C2_TOTAL:
+        if formula_id == C2_TOTAL:
             actual = run_census(2, n).total
         elif formula_id == C2_PRIME_TOTAL:
             actual = _count_no_black_column_by_enumeration(2, n)
-        elif formula_id == PROPORTION_LIMIT:
-            raise ValueError("proportion_limit is a limit; it has no per-n census value")
         else:
-            raise UnknownFormulaError(f"unknown formula id {formula_id!r}")
-        rows.append(FormulaCheckRow(n, expected, actual, expected == actual))
-    return rows
+            actual = run_census(_FORMULA_ROWS[formula_id], n).primitive
+        rows.append({"n": n, "formula": expected, "census": actual, "match": expected == actual})
+        if expected != actual:
+            failures.append(f"n={n}: formula={expected} census={actual}")
+    return CheckReport(("n", "formula", "census", "match"), rows, failures)
 
 
-@dataclass(frozen=True)
-class RelationRow:
-    n: int
-    total: int
-    binomial_sum: int
-    match: bool
-
-
-def check_relation_eqc(m: int, max_n: int) -> list[RelationRow]:
+def check_relation_eqc(m: int, max_n: int) -> CheckReport:
     """Verify |C_{m,n}| = sum_i C(n,i) * |C'_{m,n-i}|, both sides enumerated."""
     if m < 1 or max_n < 0:
         raise ValueError(f"invalid range m={m}, max_n={max_n}")
     no_black = [_count_no_black_column_by_enumeration(m, k) for k in range(max_n + 1)]
-    rows = []
+    rows, failures = [], []
     for n in range(max_n + 1):
         lhs = sum(1 for _ in _iter_row_masks(m, n))
         rhs = sum(comb(n, i) * no_black[n - i] for i in range(n + 1))
-        rows.append(RelationRow(n, lhs, rhs, lhs == rhs))
-    return rows
-
-
-@dataclass(frozen=True)
-class PowerOfTwoViolation:
-    m: int
-    n: int
-    grid: str
-    pfaffian: int
-
-
-@dataclass(frozen=True)
-class PowerOfTwoReport:
-    checked: int
-    violations: tuple[PowerOfTwoViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+        rows.append({"n": n, "total": lhs, "binomial_sum": rhs, "match": lhs == rhs})
+        if lhs != rhs:
+            failures.append(f"n={n}: total={lhs} binomial_sum={rhs}")
+    return CheckReport(("n", "total", "binomial_sum", "match"), rows, failures)
 
 
 def _is_zero_or_power_of_two(value: int) -> bool:
@@ -334,75 +306,49 @@ def _is_zero_or_power_of_two(value: int) -> bool:
     return v == 0 or (v & (v - 1)) == 0
 
 
-def scan_power_of_two(max_m: int, max_n: int) -> PowerOfTwoReport:
+def scan_power_of_two(max_m: int, max_n: int) -> CheckReport:
     """Scan |Pf| over all shapes up to max_m x max_n for non-powers of two.
 
-    An empty violation list supports (but does not prove) the conjecture
-    that the Pfaffian of a diagram is always 0 or +-2^k.
+    No failures supports (but does not prove) the conjecture that the
+    Pfaffian of a diagram is always 0 or +-2^k.
     """
     checked = 0
-    violations = []
+    failures = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            for masks in _iter_row_masks(m, n):
-                pf, _ = _classify_masks(masks, n)
+            for diagram in enumerate_diagrams(m, n):
+                pf = pfaffian(diagram)
                 checked += 1
                 if not _is_zero_or_power_of_two(pf):
-                    violations.append(
-                        PowerOfTwoViolation(
-                            m, n, format_grid(CauchonDiagram(m, n, masks)), pf
-                        )
-                    )
-    return PowerOfTwoReport(checked, tuple(violations))
-
-
-@dataclass(frozen=True)
-class CriterionRow:
-    n: int
-    diagrams: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+                    failures.append(f"{m}x{n} pfaffian={pf}\n{format_grid(diagram)}")
+    return CheckReport(
+        ("checked", "violations"), [{"checked": checked, "violations": len(failures)}], failures
+    )
 
 
 def _check_closed_form(
     m: int, max_n: int, predicate: Callable[[CauchonDiagram], bool]
-) -> list[CriterionRow]:
-    rows = []
+) -> CheckReport:
+    rows, failures = [], []
     for n in range(1, max_n + 1):
-        mismatches = []
+        before = len(failures)
         count = 0
-        for masks in _iter_row_masks(m, n):
+        for diagram in enumerate_diagrams(m, n):
             count += 1
-            diagram = CauchonDiagram(m, n, masks)
-            if predicate(diagram) != (_classify_masks(masks, n)[0] != 0):
-                mismatches.append(format_grid(diagram))
-        rows.append(CriterionRow(n, count, tuple(mismatches)))
-    return rows
+            if predicate(diagram) != (pfaffian(diagram) != 0):
+                failures.append(format_grid(diagram))
+        rows.append({"n": n, "diagrams": count, "mismatches": len(failures) - before})
+    return CheckReport(("n", "diagrams", "mismatches"), rows, failures)
 
 
-def check_criterion_2xn(max_n: int) -> list[CriterionRow]:
+def check_criterion_2xn(max_n: int) -> CheckReport:
     """Fast two-row test versus the Pfaffian test, exhaustively per n."""
     return _check_closed_form(2, max_n, primitive_2xn_fast)
 
 
-def check_primitive_1xn(max_n: int) -> list[CriterionRow]:
+def check_primitive_1xn(max_n: int) -> CheckReport:
     """Even-white-count test versus the Pfaffian test for single rows."""
     return _check_closed_form(1, max_n, primitive_1xn)
-
-
-@dataclass(frozen=True)
-class LemmaRow:
-    n: int
-    diagrams: int
-    subsets: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def _vert_closed_form(t_size: int, label_sum: int, m: int, m_prime: int) -> int:
@@ -411,7 +357,7 @@ def _vert_closed_form(t_size: int, label_sum: int, m: int, m_prime: int) -> int:
     return 0
 
 
-def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
+def check_lemma_decomposition(max_n: int) -> CheckReport:
     """Check the vertical-edge decomposition of two-row Pfaffians.
 
     For every two-row diagram without black columns and every subset T of
@@ -420,9 +366,9 @@ def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
     (-1)^(C(|T|+1,2) + sum(T)) gated by the parity condition, and the sums
     over all T must add up to the Pfaffian.
     """
-    rows = []
+    rows, failures = [], []
     for n in range(1, max_n + 1):
-        mismatches = []
+        before = len(failures)
         diagrams = 0
         subsets = 0
         for masks in _iter_row_masks(2, n):
@@ -442,14 +388,16 @@ def check_lemma_decomposition(max_n: int) -> list[LemmaRow]:
                 label_sum = column_label_sum(labeled, subset)
                 closed = _vert_closed_form(len(subset), label_sum, stats.m, stats.m_prime)
                 if brute != closed:
-                    mismatches.append(
+                    failures.append(
                         f"{format_grid(diagram)} T={subset} brute={brute} closed={closed}"
                     )
                 total += brute
             if total != pfaffian_by_matchings(labeled):
-                mismatches.append(f"{format_grid(diagram)} vertical sums do not add to Pf")
-        rows.append(LemmaRow(n, diagrams, subsets, tuple(mismatches)))
-    return rows
+                failures.append(f"{format_grid(diagram)} vertical sums do not add to Pf")
+        rows.append(
+            {"n": n, "diagrams": diagrams, "subsets": subsets, "mismatches": len(failures) - before}
+        )
+    return CheckReport(("n", "diagrams", "subsets", "mismatches"), rows, failures)
 
 
 def proportion(m: int, n: int) -> Fraction:

@@ -15,7 +15,7 @@ import sys
 from . import census
 from .diagram import CauchonDiagram, GridError, enumerate_diagrams, format_grid, parse_grid
 from .matching import enumerate_matchings
-from .pfaffian import determinant, nullity, pfaffian, skew_adjacency
+from .pfaffian import classify, skew_adjacency
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -135,19 +135,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_pfaffian(args: argparse.Namespace) -> int:
     diagram = _read_grid(args.grid)
-    pf = pfaffian(diagram)
-    det = determinant(diagram)
+    pf, nul = classify(diagram)
     primitive = pf != 0
-    nul = nullity(diagram) if args.show_nullity else None
     if args.format == "json":
         payload: dict = {
             "rows": diagram.rows,
             "cols": diagram.cols,
             "white_count": diagram.white_count,
             "pfaffian": pf,
-            "determinant": det,
+            "determinant": pf * pf,  # det = Pf^2 for every skew-symmetric matrix
         }
-        if nul is not None:
+        if args.show_nullity:
             payload["nullity"] = nul
         payload["primitive"] = primitive
         if args.show_matrix:
@@ -158,8 +156,8 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
         print(f"cols: {diagram.cols}")
         print(f"white squares: {diagram.white_count}")
         print(f"pfaffian: {pf}")
-        print(f"determinant: {det}")
-        if nul is not None:
+        print(f"determinant: {pf * pf}")
+        if args.show_nullity:
             print(f"nullity: {nul}")
         print(f"primitive: {'true' if primitive else 'false'}")
         if args.show_matrix:
@@ -171,104 +169,68 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 
 # --- check ----------------------------------------------------------------------
 
-_CHECK_DEFAULTS = {
-    "formula-2xn": {"max_n": 9},
-    "conjecture-3xn": {"max_n": 7},
-    "criterion-2xn": {"max_n": 8},
-    "power-of-two": {"max_rows": 4, "max_cols": 4},
-    "relation-eqc": {"rows": 2, "max_n": 8},
-    "lemma-decomposition": {"max_n": 5},
+#: subject -> (size options with their defaults, squares the guardrail checks,
+#: the check, the text-format verdict when nothing fails)
+_CHECKS = {
+    "formula-2xn": (
+        {"max_n": 9},
+        lambda a: 2 * a.max_n,
+        lambda a: census.check_formula(census.P2_CLOSED, range(1, a.max_n + 1)),
+        "PASS",
+    ),
+    "conjecture-3xn": (
+        {"max_n": 7},
+        lambda a: 3 * a.max_n,
+        lambda a: census.check_formula(census.P3_CONJECTURED, range(1, a.max_n + 1)),
+        "no counterexample found",
+    ),
+    "criterion-2xn": (
+        {"max_n": 8},
+        lambda a: 2 * a.max_n,
+        lambda a: census.check_criterion_2xn(a.max_n),
+        "PASS",
+    ),
+    "power-of-two": (
+        {"max_rows": 4, "max_cols": 4},
+        lambda a: a.max_rows * a.max_cols,
+        lambda a: census.scan_power_of_two(a.max_rows, a.max_cols),
+        "no counterexample found",
+    ),
+    "relation-eqc": (
+        {"rows": 2, "max_n": 8},
+        lambda a: a.rows * a.max_n,
+        lambda a: census.check_relation_eqc(a.rows, a.max_n),
+        "PASS",
+    ),
+    "lemma-decomposition": (
+        {"max_n": 5},
+        lambda a: 2 * a.max_n,
+        lambda a: census.check_lemma_decomposition(a.max_n),
+        "PASS",
+    ),
 }
-
-#: subjects that run censuses, the only ones that take --workers
-_CENSUS_SUBJECTS = {"formula-2xn", "conjecture-3xn"}
-
-_CONJECTURE_SUBJECTS = {"conjecture-3xn", "power-of-two"}
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _emit_check_rows(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps([dict(zip(header, row)) for row in rows]))
-    elif fmt == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        for row in rows:
-            print("  ".join(f"{k}={v}" for k, v in zip(header, row)))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    subject = args.subject
-    fmt = args.format
-    failures: list[str] = []
-    rows_out: list[tuple] = []
-    header: tuple[str, ...]
-
-    if subject in _CENSUS_SUBJECTS:
-        grid_rows = 2 if subject == "formula-2xn" else 3
-        _guard_cells(grid_rows * args.max_n, args)
-        formula = census.P2_CLOSED if subject == "formula-2xn" else census.P3_CONJECTURED
-        result = census.check_formula(formula, range(1, args.max_n + 1))
-        header = ("n", "formula", "census", "match")
-        for row in result:
-            rows_out.append((row.n, str(row.expected), row.actual, row.match))
-            if not row.match:
-                failures.append(f"n={row.n}: formula={row.expected} census={row.actual}")
-    elif subject == "criterion-2xn":
-        _guard_cells(2 * args.max_n, args)
-        result = census.check_criterion_2xn(args.max_n)
-        header = ("n", "diagrams", "mismatches")
-        for row in result:
-            rows_out.append((row.n, row.diagrams, len(row.mismatches)))
-            failures.extend(row.mismatches)
-    elif subject == "power-of-two":
-        _guard_cells(args.max_rows * args.max_cols, args)
-        report = census.scan_power_of_two(args.max_rows, args.max_cols)
-        header = ("checked", "violations")
-        rows_out.append((report.checked, len(report.violations)))
-        failures.extend(
-            f"{v.m}x{v.n} pfaffian={v.pfaffian}\n{v.grid}" for v in report.violations
-        )
-    elif subject == "relation-eqc":
-        _guard_cells(args.rows * args.max_n, args)
-        result = census.check_relation_eqc(args.rows, args.max_n)
-        header = ("n", "total", "binomial_sum", "match")
-        for row in result:
-            rows_out.append((row.n, row.total, row.binomial_sum, row.match))
-            if not row.match:
-                failures.append(
-                    f"n={row.n}: total={row.total} binomial_sum={row.binomial_sum}"
-                )
-    else:  # lemma-decomposition
-        _guard_cells(2 * args.max_n, args)
-        result = census.check_lemma_decomposition(args.max_n)
-        header = ("n", "diagrams", "subsets", "mismatches")
-        for row in result:
-            rows_out.append((row.n, row.diagrams, row.subsets, len(row.mismatches)))
-            failures.extend(row.mismatches)
-
-    _emit_check_rows(rows_out, header, fmt)
-    if failures:
-        print("FAIL", file=sys.stdout)
-        for failure in failures:
+    _, squares, run, verdict = _CHECKS[args.subject]
+    _guard_cells(squares(args), args)
+    report = run(args)
+    if args.format == "json":
+        print(json.dumps(report.rows, default=str))
+    elif args.format == "csv":
+        print(",".join(report.header))
+        for row in report.rows:
+            print(",".join(str(row[key]) for key in report.header))
+    else:
+        for row in report.rows:
+            print("  ".join(f"{key}={row[key]}" for key in report.header))
+    if report.failures:
+        print("FAIL")
+        for failure in report.failures:
             print(failure)
         return EXIT_CHECK_FAILED
-    if fmt == "text":
-        if subject in _CONJECTURE_SUBJECTS:
-            print("no counterexample found")
-        else:
-            print("PASS")
+    if args.format == "text":
+        print(verdict)
     return EXIT_OK
 
 
@@ -280,8 +242,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
     _guard_cells(args.rows * args.cols, args)
     for diagram in enumerate_diagrams(args.rows, args.cols):
-        pf = pfaffian(diagram)
-        nul = nullity(diagram)
+        pf, nul = classify(diagram)
         if args.format == "text":
             print(format_grid(diagram))
             print(
@@ -320,8 +281,20 @@ def _cmd_matchings(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, workers: bool = False) -> None:
-    parser.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS, help="guardrail on m*n")
+    parser.add_argument(
+        "--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS, help="guardrail on m*n"
+    )
     if workers:
         # kept so that existing command lines that pass it still parse
         parser.add_argument(
@@ -362,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify identities and scan conjectures")
     p.set_defaults(func=_cmd_check)
     subjects = p.add_subparsers(dest="subject", required=True)
-    for subject, defaults in _CHECK_DEFAULTS.items():
+    for subject, (sizes, *_) in _CHECKS.items():
         s = subjects.add_parser(subject)
-        for name, default in defaults.items():
+        for name, default in sizes.items():
             s.add_argument("--" + name.replace("_", "-"), type=_positive_int, default=default)
         s.add_argument("--format", choices=["text", "csv", "json"], default="text")
-        _add_common(s, workers=subject in _CENSUS_SUBJECTS)
+        _add_common(s)
 
     p = sub.add_parser("enumerate", help="stream every diagram of a shape")
     p.add_argument("--rows", type=int, required=True)

@@ -23,6 +23,7 @@ from .diagram import CauchonDiagram, LabeledCauchonDiagram, white_coordinates
 __all__ = [
     "SkewAdjacency",
     "skew_adjacency",
+    "classify",
     "pfaffian",
     "determinant",
     "nullity",
@@ -63,7 +64,8 @@ def skew_adjacency(source: CauchonDiagram | LabeledCauchonDiagram) -> SkewAdjace
     return SkewAdjacency(len(rows), tuple(tuple(row) for row in entries))
 
 
-def _classify(diagram: CauchonDiagram) -> tuple[int, int]:
+def classify(diagram: CauchonDiagram) -> tuple[int, int]:
+    """(Pfaffian, nullity) of A_C from one condensation."""
     rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
     return backend.classify_cells(rows, cols)
 
@@ -74,7 +76,7 @@ def pfaffian(diagram: CauchonDiagram) -> int:
     1 for the empty matrix (no white squares), 0 for odd white counts;
     always equal to the signed matching sum.
     """
-    return _classify(diagram)[0]
+    return classify(diagram)[0]
 
 
 def determinant(diagram: CauchonDiagram) -> int:
@@ -88,7 +90,7 @@ def nullity(diagram: CauchonDiagram) -> int:
     Zero exactly when the diagram is primitive. The rank of a skew-symmetric
     matrix is even, so the nullity always has the parity of the white count.
     """
-    return _classify(diagram)[1]
+    return classify(diagram)[1]
 
 
 def rank(diagram: CauchonDiagram) -> int:

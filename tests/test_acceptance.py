@@ -86,9 +86,9 @@ def test_criterion_3_counting_identities():
         if no_black != expected_no_black:
             bad.append(("no-black-column", n, expected_no_black, no_black))
     for m in range(1, 4):
-        for row in census.check_relation_eqc(m, 8):
-            if not row.match:
-                bad.append(("binomial-relation", m, row.n, row.total, row.binomial_sum))
+        for row in census.check_relation_eqc(m, 8).rows:
+            if not row["match"]:
+                bad.append(("binomial-relation", m, row["n"], row["total"], row["binomial_sum"]))
     ok = not bad
     verdict("3 counting identities", ok, "2-row counts n<=10; binomial relation m<=3, n<=8")
     assert ok, bad
@@ -96,16 +96,16 @@ def test_criterion_3_counting_identities():
 
 def test_criterion_4_fast_criterion_equivalence():
     bad = []
-    rows = census.check_criterion_2xn(8)
-    two_row_diagrams = sum(row.diagrams for row in rows)
-    for row in rows:
-        if not row.ok:
-            bad.append(("2xn", row.n, row.mismatches))
-        if row.diagrams != 2 * 3**row.n - 2**row.n:
-            bad.append(("2xn-count", row.n, row.diagrams))
-    for row in census.check_primitive_1xn(12):
-        if not row.ok:
-            bad.append(("1xn", row.n, row.mismatches))
+    report = census.check_criterion_2xn(8)
+    two_row_diagrams = sum(row["diagrams"] for row in report.rows)
+    if not report.ok:
+        bad.append(("2xn", report.failures))
+    for row in report.rows:
+        if row["diagrams"] != 2 * 3 ** row["n"] - 2 ** row["n"]:
+            bad.append(("2xn-count", row["n"], row["diagrams"]))
+    one_row = census.check_primitive_1xn(12)
+    if not one_row.ok:
+        bad.append(("1xn", one_row.failures))
     ok = not bad
     verdict("4 fast criterion equivalence", ok, f"{two_row_diagrams} two-row diagrams, 1xn n<=12")
     assert ok, bad
@@ -142,25 +142,24 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_vertical_decomposition():
-    rows = census.check_lemma_decomposition(5)
-    bad = [row for row in rows if not row.ok]
-    subsets = sum(row.subsets for row in rows)
-    ok = not bad
+    report = census.check_lemma_decomposition(5)
+    subsets = sum(row["subsets"] for row in report.rows)
+    ok = report.ok
     verdict("6 vertical decomposition", ok, f"n<=5, {subsets} column subsets")
-    assert ok, [row.mismatches for row in bad]
+    assert ok, report.failures
 
 
 def test_criterion_7_conjecture_scans():
     bad = []
-    for row in census.check_formula(census.P3_CONJECTURED, range(1, 8)):
-        if not row.match:
-            bad.append(("three-row-formula", row.n, row.expected, row.actual))
+    for row in census.check_formula(census.P3_CONJECTURED, range(1, 8)).rows:
+        if not row["match"]:
+            bad.append(("three-row-formula", row["n"], row["formula"], row["census"]))
     small = census.scan_power_of_two(4, 4)
     if not small.ok:
-        bad.append(("power-of-two-4x4", small.violations))
+        bad.append(("power-of-two-4x4", small.failures))
     wide = census.scan_power_of_two(2, 6)
     if not wide.ok:
-        bad.append(("power-of-two-2x6", wide.violations))
+        bad.append(("power-of-two-2x6", wide.failures))
     proportions = [(n, run_census(2, n).proportion()) for n in range(1, 10)]
     print("    two-row primitive proportion vs limit 3/8:")
     for n, prop in proportions:
@@ -171,11 +170,8 @@ def test_criterion_7_conjecture_scans():
     if abs(proportions[-1][1] - limit) >= abs(proportions[0][1] - limit):
         bad.append(("proportion-not-closer", proportions))
     ok = not bad
-    verdict(
-        "7 conjecture scans",
-        ok,
-        f"3-row formula n<=7; |Pf| power of 2 on {small.checked + wide.checked} diagrams",
-    )
+    checked = small.rows[0]["checked"] + wide.rows[0]["checked"]
+    verdict("7 conjecture scans", ok, f"3-row formula n<=7; |Pf| power of 2 on {checked} diagrams")
     assert ok, bad
 
 

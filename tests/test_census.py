@@ -165,15 +165,15 @@ def test_formula_errors():
     ],
 )
 def test_check_formula_small_ranges(formula_id, values):
-    rows = check_formula(formula_id, range(1, len(values) + 1))
-    assert [row.actual for row in rows] == values
-    assert all(row.match for row in rows)
+    report = check_formula(formula_id, range(1, len(values) + 1))
+    assert [row["census"] for row in report.rows] == values
+    assert all(row["match"] for row in report.rows)
 
 
 def test_check_formula_conjecture_3xn_small():
-    rows = check_formula("P3_conjectured", range(1, 5))
-    assert [row.actual for row in rows] == [4, 17, 70, 329]
-    assert all(row.match for row in rows)
+    report = check_formula("P3_conjectured", range(1, 5))
+    assert [row["census"] for row in report.rows] == [4, 17, 70, 329]
+    assert all(row["match"] for row in report.rows)
 
 
 def test_check_formula_rejects_limit_formula():
@@ -185,35 +185,35 @@ def test_check_formula_rejects_limit_formula():
 
 
 def test_relation_eqc_single_row():
-    rows = check_relation_eqc(1, 6)
-    assert all(row.match for row in rows)
-    assert rows[0].total == 1
-    assert [row.total for row in rows[1:]] == [2**n for n in range(1, 7)]
+    rows = check_relation_eqc(1, 6).rows
+    assert all(row["match"] for row in rows)
+    assert rows[0]["total"] == 1
+    assert [row["total"] for row in rows[1:]] == [2**n for n in range(1, 7)]
 
 
 def test_relation_eqc_two_rows():
-    rows = check_relation_eqc(2, 5)
-    assert all(row.match for row in rows)
+    rows = check_relation_eqc(2, 5).rows
+    assert all(row["match"] for row in rows)
 
 
 def test_scan_power_of_two_small():
     report = scan_power_of_two(2, 4)
     assert report.ok
-    assert report.checked == sum(
+    assert report.rows[0]["checked"] == sum(
         census.run_census(m, n).total for m in (1, 2) for n in range(1, 5)
     )
 
 
 def test_check_criterion_rows_ok():
-    assert all(row.ok for row in census.check_criterion_2xn(5))
-    assert all(row.ok for row in census.check_primitive_1xn(8))
+    assert census.check_criterion_2xn(5).ok
+    assert census.check_primitive_1xn(8).ok
 
 
 def test_check_lemma_decomposition_small():
-    rows = census.check_lemma_decomposition(3)
-    assert all(row.ok for row in rows)
+    report = census.check_lemma_decomposition(3)
+    assert report.ok
     # diagram counts are the no-black-column counts 2^(n+1) - 1
-    assert [row.diagrams for row in rows] == [3, 7, 15]
+    assert [row["diagrams"] for row in report.rows] == [3, 7, 15]
 
 
 # --- proportions ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import cauchon.cli as cli_mod
-from cauchon import census
+from cauchon import backend, census
 from cauchon.cli import main
 
 
@@ -100,8 +100,6 @@ def test_count_deterministic_output(capsys):
     [
         ["count", "--rows", "2", "--cols", "2"],
         ["table", "--max-rows", "2", "--max-cols", "2"],
-        ["check", "formula-2xn"],
-        ["check", "conjecture-3xn"],
     ],
 )
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -134,6 +132,22 @@ def test_guardrail_flag_override(capsys):
     )
     assert code == 0
     assert "total:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--rows", "2", "--cols", "3"],
+        ["table", "--max-rows", "2", "--max-cols", "3"],
+        ["enumerate", "--rows", "2", "--cols", "3"],
+        ["check", "criterion-2xn", "--max-n", "3"],
+    ],
+)
+@pytest.mark.parametrize("max_cells", ["-1", "0"])
+def test_max_cells_below_one_is_usage_error(argv, max_cells):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--max-cells", max_cells])
+    assert err.value.code == 2
 
 
 # --- table --------------------------------------------------------------------------
@@ -276,6 +290,31 @@ def test_check_csv_format(capsys):
     assert out.startswith("n,formula,census,match")
 
 
+#: every check subject, small sizes for it, its csv header and json keys
+CHECK_SUBJECTS = {
+    "formula-2xn": (["--max-n", "3"], "n,formula,census,match"),
+    "conjecture-3xn": (["--max-n", "2"], "n,formula,census,match"),
+    "criterion-2xn": (["--max-n", "2"], "n,diagrams,mismatches"),
+    "power-of-two": (["--max-rows", "2", "--max-cols", "2"], "checked,violations"),
+    "relation-eqc": (["--max-n", "2"], "n,total,binomial_sum,match"),
+    "lemma-decomposition": (["--max-n", "2"], "n,diagrams,subsets,mismatches"),
+}
+
+
+@pytest.mark.parametrize("subject", CHECK_SUBJECTS)
+def test_check_csv_header_and_json_keys(capsys, subject):
+    sizes, header = CHECK_SUBJECTS[subject]
+    code, out, _ = run_cli(capsys, "check", subject, *sizes, "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[0] == header
+    code, out, _ = run_cli(capsys, "check", subject, *sizes, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows and all(list(row) == header.split(",") for row in rows)
+    if subject == "formula-2xn":
+        assert [row["formula"] for row in rows] == ["2", "5", "17"]
+
+
 def test_check_guardrail(capsys):
     code, _, err = run_cli(capsys, "check", "formula-2xn", "--max-n", "20")
     assert code == 3
@@ -287,6 +326,12 @@ def test_check_guardrail(capsys):
         ["check", "power-of-two", "--max-n", "5"],
         ["check", "criterion-2xn", "--workers", "2"],
         ["check", "formula-2xn", "--max-n", "0"],
+        # no check subject takes --workers; only count and table still parse it
+        *(
+            ["check", subject, "--workers", "2"]
+            for subject in CHECK_SUBJECTS
+            if subject != "criterion-2xn"
+        ),
     ],
 )
 def test_check_rejects_options_the_subject_does_not_take(argv):
@@ -298,8 +343,12 @@ def test_check_rejects_options_the_subject_does_not_take(argv):
 
 
 def test_check_mismatch_exits_1_and_shows_row(capsys, monkeypatch):
-    rows = [census.FormulaCheckRow(1, Fraction(3), 2, False)]
-    monkeypatch.setattr(cli_mod.census, "check_formula", lambda *a, **k: rows)
+    report = census.CheckReport(
+        ("n", "formula", "census", "match"),
+        [{"n": 1, "formula": Fraction(3), "census": 2, "match": False}],
+        ["n=1: formula=3 census=2"],
+    )
+    monkeypatch.setattr(cli_mod.census, "check_formula", lambda *a, **k: report)
     code, out, _ = run_cli(capsys, "check", "formula-2xn", "--max-n", "1")
     assert code == 1
     assert "FAIL" in out
@@ -325,6 +374,26 @@ def test_enumerate_text(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--rows", "1", "--cols", "1", "--format", "text")
     assert code == 0
     assert "d=1" in out and "d=0" in out
+
+
+def test_one_condensation_per_diagram(capsys, monkeypatch):
+    calls = []
+    classify_cells = backend.classify_cells
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return classify_cells(rows, cols)
+
+    monkeypatch.setattr(backend, "classify_cells", counted)
+    code, out, _ = run_cli(capsys, "enumerate", "--rows", "3", "--cols", "3")
+    assert code == 0
+    assert len(out.splitlines()) == len(calls) == 230
+    calls.clear()
+    monkeypatch.setattr("sys.stdin", io.StringIO("...\n...\n"))
+    code, out, _ = run_cli(capsys, "pfaffian", "--grid", "-", "--show-nullity")
+    assert code == 0
+    assert "determinant: 4" in out and "nullity: 0" in out
+    assert len(calls) == 1
 
 
 def test_matchings_jsonl(capsys, monkeypatch):
