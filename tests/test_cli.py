@@ -100,6 +100,9 @@ def test_count_deterministic_output(capsys):
     [
         ["count", "--rows", "2", "--cols", "2"],
         ["table", "--max-rows", "2", "--max-cols", "2"],
+        # these subjects take no --workers at all, so any value is a usage error
+        ["check", "formula-2xn"],
+        ["check", "conjecture-3xn"],
     ],
 )
 @pytest.mark.parametrize("workers", ["0", "-3"])
