@@ -44,16 +44,14 @@ from .diagram import (
     with_labels,
 )
 from .matching import (
-    InvalidSubsetError,
     MalformedMatchingError,
     Matching,
-    WhiteGraph,
     enumerate_matchings,
     inversions,
     inversions_between,
     matching_sign,
     pfaffian_by_matchings,
-    vert_partition_sum,
+    vertical_edge_sums,
     white_edges,
 )
 from .pfaffian import (
@@ -76,7 +74,6 @@ __all__ = [
     "CensusRecord",
     "GridError",
     "HasBlackColumnError",
-    "InvalidSubsetError",
     "LabeledCauchonDiagram",
     "MalformedMatchingError",
     "Matching",
@@ -84,7 +81,6 @@ __all__ = [
     "NotCauchonError",
     "SkewAdjacency",
     "TwoRowStats",
-    "WhiteGraph",
     "canonical_labels",
     "check_formula",
     "check_relation_eqc",
@@ -114,7 +110,7 @@ __all__ = [
     "transpose",
     "two_row_stats",
     "validate",
-    "vert_partition_sum",
+    "vertical_edge_sums",
     "white_edges",
     "with_labels",
 ]

@@ -72,6 +72,8 @@ def _census_csv_row(record: census.CensusRecord) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 0:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
+    if args.histogram and args.format == "csv":
+        raise UsageError("--histogram needs --format text or json")
     _guard_cells(args.rows * args.cols, args)
     record = census.run_census(args.rows, args.cols)
     if args.format == "csv":

@@ -21,8 +21,6 @@ from .diagram import CauchonDiagram, LabeledCauchonDiagram, canonical_labels
 
 __all__ = [
     "MalformedMatchingError",
-    "InvalidSubsetError",
-    "WhiteGraph",
     "Matching",
     "white_edges",
     "inversions",
@@ -30,16 +28,12 @@ __all__ = [
     "matching_sign",
     "enumerate_matchings",
     "pfaffian_by_matchings",
-    "vert_partition_sum",
+    "vertical_edge_sums",
 ]
 
 
 class MalformedMatchingError(ValueError):
     """Edge list that is not a matching with i < j on every edge."""
-
-
-class InvalidSubsetError(ValueError):
-    """Column subset outside the fully white columns of the diagram."""
 
 
 def _as_labeled(source: CauchonDiagram | LabeledCauchonDiagram) -> LabeledCauchonDiagram:
@@ -49,43 +43,21 @@ def _as_labeled(source: CauchonDiagram | LabeledCauchonDiagram) -> LabeledCaucho
 
 
 @dataclass(frozen=True)
-class WhiteGraph:
-    """White-square graph with edges stored as (smaller, larger) label pairs."""
-
-    labels: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Larger-label neighbours of each label, ascending."""
-        out: dict[int, list[int]] = {label: [] for label in self.labels}
-        for i, j in self.edges:
-            out[i].append(j)
-        return {label: tuple(sorted(ns)) for label, ns in out.items()}
-
-
-@dataclass(frozen=True)
 class Matching:
     """A perfect matching, as a tuple of (i, j) edges with i < j."""
 
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if i >= j:
-                raise MalformedMatchingError(f"edge ({i}, {j}) must have i < j")
-            if i in seen or j in seen:
-                raise MalformedMatchingError(f"edge ({i}, {j}) repeats an endpoint")
-            seen.add(i)
-            seen.add(j)
+        _endpoints(self.edges)
 
     @property
     def sign(self) -> int:
         return matching_sign(self.edges)
 
 
-def white_edges(source: CauchonDiagram | LabeledCauchonDiagram) -> WhiteGraph:
-    """Same-row-left and same-column-above pairs between white squares."""
+def white_edges(source: CauchonDiagram | LabeledCauchonDiagram) -> tuple[tuple[int, int], ...]:
+    """Same-row-left and same-column-above (smaller, larger) label pairs, ascending."""
     labeled = _as_labeled(source)
     cells = labeled.cells
     labels = labeled.labels
@@ -96,7 +68,7 @@ def white_edges(source: CauchonDiagram | LabeledCauchonDiagram) -> WhiteGraph:
             rb, cb = cells[b]
             if ra == rb or ca == cb:
                 edges.append((labels[a], labels[b]))
-    return WhiteGraph(labels, tuple(edges))
+    return tuple(edges)
 
 
 def inversions(seq: Sequence[int]) -> int:
@@ -119,17 +91,11 @@ def inversions_between(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(1 for b in y for a in x if b < a)
 
 
-def matching_sign(matching: Matching | Iterable[tuple[int, int]]) -> int:
-    """Sign of the permutation sending 1..2m to (i1, j1, ..., im, jm).
-
-    Every edge must satisfy i < j; under that convention the value does not
-    depend on the order in which the edges are listed.
-    """
-    edges = matching.edges if isinstance(matching, Matching) else tuple(matching)
+def _endpoints(edges: Iterable[tuple[int, int]]) -> list[int]:
+    # (i1, j1, ..., im, jm), after checking i < j and no repeated endpoint
     seq: list[int] = []
     seen: set[int] = set()
-    for edge in edges:
-        i, j = edge
+    for i, j in edges:
         if i >= j:
             raise MalformedMatchingError(f"edge ({i}, {j}) must have i < j")
         if i in seen or j in seen:
@@ -138,15 +104,27 @@ def matching_sign(matching: Matching | Iterable[tuple[int, int]]) -> int:
         seen.add(j)
         seq.append(i)
         seq.append(j)
-    return -1 if inversions(seq) % 2 else 1
+    return seq
+
+
+def matching_sign(matching: Matching | Iterable[tuple[int, int]]) -> int:
+    """Sign of the permutation sending 1..2m to (i1, j1, ..., im, jm).
+
+    Every edge must satisfy i < j; under that convention the value does not
+    depend on the order in which the edges are listed.
+    """
+    edges = matching.edges if isinstance(matching, Matching) else matching
+    return -1 if inversions(_endpoints(edges)) % 2 else 1
 
 
 def _iter_edge_sets(
     labeled: LabeledCauchonDiagram,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     # pair the lowest unmatched label with each admissible partner in turn
-    adjacency = white_edges(labeled).adjacency()
     labels = labeled.labels
+    adjacency: dict[int, list[int]] = {label: [] for label in labels}
+    for i, j in white_edges(labeled):
+        adjacency[i].append(j)
 
     def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if not remaining:
@@ -184,23 +162,14 @@ def pfaffian_by_matchings(source: CauchonDiagram | LabeledCauchonDiagram) -> int
     return sum(matching_sign(edges) for edges in _iter_edge_sets(labeled))
 
 
-def _fully_white_columns(diagram: CauchonDiagram) -> tuple[int, ...]:
-    mask = 0
-    for row_mask in diagram.row_masks:
-        mask |= row_mask
-    return tuple(
-        col for col in range(1, diagram.cols + 1) if not mask >> (col - 1) & 1
-    )
+def vertical_edge_sums(
+    source: CauchonDiagram | LabeledCauchonDiagram,
+) -> dict[frozenset[int], int]:
+    """Signed matching sums keyed by the set of columns holding vertical edges.
 
-
-def vert_partition_sum(
-    source: CauchonDiagram | LabeledCauchonDiagram, columns: Iterable[int]
-) -> int:
-    """Signed sum over matchings whose vertical edges sit exactly in ``columns``.
-
-    Only defined for two-row diagrams without entirely black columns; the
-    requested columns must be fully white (raises InvalidSubsetError
-    otherwise). Computed by brute force over all perfect matchings.
+    One pass over the perfect matchings adds each sign under the columns
+    whose two squares it pairs; an absent key reads as 0. Only defined for
+    two-row diagrams without entirely black columns.
     """
     labeled = _as_labeled(source)
     diagram = labeled.diagram
@@ -208,21 +177,9 @@ def vert_partition_sum(
         raise ValueError(f"needs a 2-row diagram, got {diagram.rows} rows")
     if diagram.black_column_mask():
         raise ValueError("diagram has an entirely black column; strip it first")
-    vert = _fully_white_columns(diagram)
-    target = frozenset(columns)
-    if not target <= set(vert):
-        raise InvalidSubsetError(
-            f"columns {sorted(target - set(vert))} are not fully white"
-        )
-    vertical_edge = {}
-    for col in vert:
-        top = labeled.label_of(1, col)
-        bottom = labeled.label_of(2, col)
-        vertical_edge[col] = (top, bottom)
-    total = 0
+    column = {label: col for label, (_, col) in zip(labeled.labels, labeled.cells)}
+    sums: dict[frozenset[int], int] = {}
     for edges in _iter_edge_sets(labeled):
-        edge_set = set(edges)
-        used = frozenset(col for col in vert if vertical_edge[col] in edge_set)
-        if used == target:
-            total += matching_sign(edges)
-    return total
+        used = frozenset(column[i] for i, j in edges if column[i] == column[j])
+        sums[used] = sums.get(used, 0) + matching_sign(edges)
+    return sums

@@ -33,8 +33,8 @@ KNOWN_PRIMITIVE_COUNTS = {
     1: (1, 2, 4, 8, 16, 32, 64, 128, 256),
     2: (2, 5, 17, 53, 167, 515, 1577, 4793, 14507),
     3: (4, 17, 70, 329, 1414, 6167, 25960, 108629, 447874),
-    4: (8, 53, 329, 1865, 11243),
-    5: (16, 167, 1414, 11243, 80806),
+    4: (8, 53, 329, 1865, 11243, 62303, 349469),
+    5: (16, 167, 1414, 11243, 80806, 596897),
 }
 
 

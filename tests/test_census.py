@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from cauchon import backend, census
+from cauchon import backend, census, matching
 from cauchon.census import (
     UnknownFormulaError,
     check_formula,
@@ -214,6 +214,30 @@ def test_check_lemma_decomposition_small():
     assert report.ok
     # diagram counts are the no-black-column counts 2^(n+1) - 1
     assert [row["diagrams"] for row in report.rows] == [3, 7, 15]
+
+
+def test_check_lemma_decomposition_enumerates_each_diagram_once(monkeypatch):
+    calls = []
+    inner = matching._iter_edge_sets
+
+    def counted(labeled):
+        calls.append(labeled)
+        return inner(labeled)
+
+    monkeypatch.setattr(matching, "_iter_edge_sets", counted)
+    report = census.check_lemma_decomposition(5)
+    assert report.ok
+    diagrams = sum(row["diagrams"] for row in report.rows)
+    assert diagrams == 119
+    assert len(calls) == diagrams
+
+
+def test_check_lemma_decomposition_compares_with_condensation(monkeypatch):
+    real = census.pfaffian
+    monkeypatch.setattr(census, "pfaffian", lambda diagram: real(diagram) + 1)
+    report = census.check_lemma_decomposition(2)
+    assert not report.ok
+    assert all(f.endswith("vertical sums do not add to Pf") for f in report.failures)
 
 
 # --- proportions ------------------------------------------------------------------

@@ -68,6 +68,15 @@ def test_count_json_with_histogram(capsys):
     assert payload["nullity_histogram"]["0"] == 5
 
 
+def test_count_csv_with_histogram_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--rows", "2", "--cols", "2", "--format", "csv", "--histogram"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--histogram" in err
+
+
 def test_count_json_without_histogram(capsys):
     code, out, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "2", "--format", "json")
     payload = json.loads(out)

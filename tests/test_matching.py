@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cauchon import (
     CauchonDiagram,
-    InvalidSubsetError,
     MalformedMatchingError,
     Matching,
     canonical_labels,
@@ -17,7 +16,7 @@ from cauchon import (
     matching_sign,
     parse_grid,
     pfaffian_by_matchings,
-    vert_partition_sum,
+    vertical_edge_sums,
     white_edges,
     with_labels,
 )
@@ -28,25 +27,21 @@ from conftest import GAPPED_LABELS_4x6, GRID_4x6
 
 
 def test_white_edges_2x2():
-    graph = white_edges(CauchonDiagram.all_white(2, 2))
-    assert set(graph.edges) == {(1, 2), (3, 4), (1, 3), (2, 4)}
+    assert set(white_edges(CauchonDiagram.all_white(2, 2))) == {(1, 2), (3, 4), (1, 3), (2, 4)}
 
 
 def test_white_edges_1x3():
-    graph = white_edges(CauchonDiagram.all_white(1, 3))
-    assert set(graph.edges) == {(1, 2), (1, 3), (2, 3)}
+    assert set(white_edges(CauchonDiagram.all_white(1, 3))) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_white_edges_all_black():
-    graph = white_edges(CauchonDiagram.all_black(2, 2))
-    assert graph.labels == ()
-    assert graph.edges == ()
+    assert white_edges(CauchonDiagram.all_black(2, 2)) == ()
 
 
 def test_white_edges_are_increasing(small_diagrams):
     for diagrams in small_diagrams.values():
         for diagram in diagrams:
-            for i, j in white_edges(diagram).edges:
+            for i, j in white_edges(diagram):
                 assert i < j
 
 
@@ -198,35 +193,27 @@ def test_pfaffian_by_matchings_gapped_example():
     assert pfaffian_by_matchings(labeled) == pfaffian_by_matchings(parse_grid(GRID_4x6))
 
 
-# --- vertical-edge partition -----------------------------------------------------
+# --- vertical-edge sums ------------------------------------------------------------
 
 
-def test_vert_partition_sum_2x2_examples():
-    diagram = CauchonDiagram.all_white(2, 2)
-    assert vert_partition_sum(diagram, {1}) == 0
-    assert vert_partition_sum(diagram, {1, 2}) == -1
-    assert vert_partition_sum(diagram, set()) == 1
+def test_vertical_edge_sums_2x2():
+    # the horizontal pair {(1,2),(3,4)} has sign +1; the vertical pair -1
+    assert vertical_edge_sums(CauchonDiagram.all_white(2, 2)) == {
+        frozenset(): 1,
+        frozenset({1, 2}): -1,
+    }
 
 
-def test_vert_partition_sum_totals_to_pfaffian():
+def test_vertical_edge_sums_total_to_pfaffian():
     diagram = parse_grid("..#.\n#...")
-    labeled = canonical_labels(diagram)
-    vert = [c for c in range(1, 5) if not diagram.is_black(1, c) and not diagram.is_black(2, c)]
-    total = 0
-    for bits in range(1 << len(vert)):
-        subset = {vert[i] for i in range(len(vert)) if bits >> i & 1}
-        total += vert_partition_sum(labeled, subset)
-    assert total == pfaffian_by_matchings(diagram)
+    sums = vertical_edge_sums(canonical_labels(diagram))
+    assert sum(sums.values()) == pfaffian_by_matchings(diagram)
+    # vertical edges can only sit in the fully white columns 2 and 4
+    assert all(columns <= {2, 4} for columns in sums)
 
 
-def test_vert_partition_sum_rejects_bad_subset():
-    diagram = parse_grid(".#\n..")
-    with pytest.raises(InvalidSubsetError):
-        vert_partition_sum(diagram, {2})
-
-
-def test_vert_partition_sum_rejects_bad_diagram():
+def test_vertical_edge_sums_rejects_bad_diagram():
     with pytest.raises(ValueError):
-        vert_partition_sum(CauchonDiagram.all_white(3, 2), set())
+        vertical_edge_sums(CauchonDiagram.all_white(3, 2))
     with pytest.raises(ValueError):
-        vert_partition_sum(parse_grid("#.\n#."), set())
+        vertical_edge_sums(parse_grid("#.\n#."))

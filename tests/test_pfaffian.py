@@ -79,7 +79,7 @@ def test_skew_adjacency_matches_white_edges():
             plus = tuple(
                 (i + 1, j + 1) for i in range(d) for j in range(d) if entries[i][j] == 1
             )
-            assert white_edges(diagram).edges == plus, str(diagram)
+            assert white_edges(diagram) == plus, str(diagram)
 
 
 def test_skew_adjacency_ignores_label_values():
