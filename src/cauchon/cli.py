@@ -4,18 +4,17 @@ All data output is byte-deterministic for a given set of flags: ordering is
 fixed and timing goes to stderr, never into the data channel. Exit codes:
 0 success, 1 check failure or counterexample, 2 usage error, 3 guardrail
 breach, 4 unparseable grid input.
-"""
 
-from __future__ import annotations
+Only the census is imported at start-up: ``count`` and ``table`` run nothing
+else, and each command starts a fresh interpreter. The other commands import
+what they use when they run.
+"""
 
 import argparse
 import json
 import sys
 
 from . import census
-from .diagram import CauchonDiagram, GridError, enumerate_diagrams, format_grid, parse_grid
-from .matching import enumerate_matchings
-from .pfaffian import classify, skew_adjacency
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,7 +42,10 @@ def _guard_cells(cells: int, args: argparse.Namespace) -> None:
         raise GuardrailError(cells, args.max_cells)
 
 
-def _read_grid(spec: str) -> CauchonDiagram:
+def _read_grid(spec: str):
+    """The diagram in the file ``spec`` (``-`` for stdin); raises GridError."""
+    from .diagram import GridError, parse_grid
+
     try:
         if spec == "-":
             text = sys.stdin.read()
@@ -65,8 +67,8 @@ _CSV_HEADER = "m,n,total,primitive,proportion_num,proportion_den"
 
 
 def _census_csv_row(record: census.CensusRecord) -> str:
-    prop = record.proportion()
-    return f"{record.m},{record.n},{record.total},{record.primitive},{prop.numerator},{prop.denominator}"
+    payload = record.to_payload()
+    return ",".join(str(payload[key]) for key in _CSV_HEADER.split(","))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -85,12 +87,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
             payload.pop("nullity_histogram")
         print(json.dumps(payload))
     else:
-        prop = record.proportion()
+        payload = record.to_payload()
         print(f"m: {record.m}")
         print(f"n: {record.n}")
         print(f"total: {record.total}")
         print(f"primitive: {record.primitive}")
-        print(f"proportion: {prop.numerator}/{prop.denominator}")
+        print(f"proportion: {payload['proportion_num']}/{payload['proportion_den']}")
         if args.histogram:
             print("nullity histogram:")
             for key in sorted(record.nullity_histogram):
@@ -136,6 +138,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_pfaffian(args: argparse.Namespace) -> int:
+    from .pfaffian import classify, skew_adjacency
+
     diagram = _read_grid(args.grid)
     pf, nul = classify(diagram)
     primitive = pf != 0
@@ -172,51 +176,54 @@ def _cmd_pfaffian(args: argparse.Namespace) -> int:
 # --- check ----------------------------------------------------------------------
 
 #: subject -> (size options with their defaults, squares the guardrail checks,
-#: the check, the text-format verdict when nothing fails)
+#: the check given the ``checks`` module, the text-format verdict when nothing
+#: fails)
 _CHECKS = {
     "formula-2xn": (
         {"max_n": 9},
         lambda a: 2 * a.max_n,
-        lambda a: census.check_formula(census.P2_CLOSED, range(1, a.max_n + 1)),
+        lambda checks, a: checks.check_formula(checks.P2_CLOSED, range(1, a.max_n + 1)),
         "PASS",
     ),
     "conjecture-3xn": (
         {"max_n": 7},
         lambda a: 3 * a.max_n,
-        lambda a: census.check_formula(census.P3_CONJECTURED, range(1, a.max_n + 1)),
+        lambda checks, a: checks.check_formula(checks.P3_CONJECTURED, range(1, a.max_n + 1)),
         "no counterexample found",
     ),
     "criterion-2xn": (
         {"max_n": 8},
         lambda a: 2 * a.max_n,
-        lambda a: census.check_criterion_2xn(a.max_n),
+        lambda checks, a: checks.check_criterion_2xn(a.max_n),
         "PASS",
     ),
     "power-of-two": (
         {"max_rows": 4, "max_cols": 4},
         lambda a: a.max_rows * a.max_cols,
-        lambda a: census.scan_power_of_two(a.max_rows, a.max_cols),
+        lambda checks, a: checks.scan_power_of_two(a.max_rows, a.max_cols),
         "no counterexample found",
     ),
     "relation-eqc": (
         {"rows": 2, "max_n": 8},
         lambda a: a.rows * a.max_n,
-        lambda a: census.check_relation_eqc(a.rows, a.max_n),
+        lambda checks, a: checks.check_relation_eqc(a.rows, a.max_n),
         "PASS",
     ),
     "lemma-decomposition": (
         {"max_n": 5},
         lambda a: 2 * a.max_n,
-        lambda a: census.check_lemma_decomposition(a.max_n),
+        lambda checks, a: checks.check_lemma_decomposition(a.max_n),
         "PASS",
     ),
 }
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import checks
+
     _, squares, run, verdict = _CHECKS[args.subject]
     _guard_cells(squares(args), args)
-    report = run(args)
+    report = run(checks, args)
     if args.format == "json":
         print(json.dumps(report.rows, default=str))
     elif args.format == "csv":
@@ -242,6 +249,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.rows < 1 or args.cols < 0:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
+    from .diagram import enumerate_diagrams, format_grid
+    from .pfaffian import classify
+
     _guard_cells(args.rows * args.cols, args)
     for diagram in enumerate_diagrams(args.rows, args.cols):
         pf, nul = classify(diagram)
@@ -268,6 +278,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matchings(args: argparse.Namespace) -> int:
+    from .matching import enumerate_matchings
+
     diagram = _read_grid(args.grid)
     for matching in enumerate_matchings(diagram):
         edges = sorted(tuple(sorted(edge)) for edge in matching.edges)
@@ -370,11 +382,17 @@ def main(argv: list[str] | None = None) -> int:
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except GridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BrokenPipeError:
         return EXIT_OK
+    except ValueError as exc:
+        # GridError is a ValueError that only the grid commands raise, and
+        # they have loaded diagram by then; count and table never import it
+        from .diagram import GridError
+
+        if not isinstance(exc, GridError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

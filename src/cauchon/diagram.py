@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
+# kept with the transfer census, so that ``count`` loads no diagram module
+from .census import _row_candidates
+
 __all__ = [
     "GridError",
     "NonRectangularError",
@@ -248,29 +251,6 @@ def format_grid(diagram: CauchonDiagram) -> str:
             )
         )
     return "\n".join(lines)
-
-
-@lru_cache(maxsize=None)
-def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
-    """All admissible next-row masks given the fully-black columns so far.
-
-    Every admissible row is a leading black run of some length p, plus black
-    squares in fully-black columns strictly right of column p + 1 (column
-    p + 1 itself stays white, which is what makes p the run length). Rows
-    come out in left-to-right lexicographic order, white first: by run
-    length, and for one run length by doubling the list over its free
-    columns from the rightmost one in, so each added column outranks the
-    ones before it. The full row comes last.
-    """
-    out: list[int] = []
-    for p in range(n):
-        rows = [(1 << p) - 1]
-        for bit in range(n - 1, p, -1):
-            if above_black >> bit & 1:
-                rows += [row | 1 << bit for row in rows]
-        out += rows
-    out.append((1 << n) - 1)
-    return tuple(out)
 
 
 def _iter_row_masks(m: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from cauchon import (
-    census,
+    checks,
     determinant,
     enumerate_diagrams,
     enumerate_matchings,
@@ -22,7 +22,8 @@ from cauchon import (
     transpose,
     with_labels,
 )
-from cauchon.census import formula_value, run_census
+from cauchon.census import run_census
+from cauchon.checks import formula_value
 from cauchon.cli import main as cli_main
 from cauchon.diagram import _iter_row_masks
 from conftest import sample_diagrams
@@ -61,7 +62,7 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_two_row_closed_formula():
     mismatches = []
     for n in range(1, 11):
-        expected = formula_value(census.P2_CLOSED, n=n)
+        expected = formula_value(checks.P2_CLOSED, n=n)
         actual = run_census(2, n).primitive
         if expected != actual:
             mismatches.append((n, expected, actual))
@@ -86,7 +87,7 @@ def test_criterion_3_counting_identities():
         if no_black != expected_no_black:
             bad.append(("no-black-column", n, expected_no_black, no_black))
     for m in range(1, 4):
-        for row in census.check_relation_eqc(m, 8).rows:
+        for row in checks.check_relation_eqc(m, 8).rows:
             if not row["match"]:
                 bad.append(("binomial-relation", m, row["n"], row["total"], row["binomial_sum"]))
     ok = not bad
@@ -96,14 +97,14 @@ def test_criterion_3_counting_identities():
 
 def test_criterion_4_fast_criterion_equivalence():
     bad = []
-    report = census.check_criterion_2xn(8)
+    report = checks.check_criterion_2xn(8)
     two_row_diagrams = sum(row["diagrams"] for row in report.rows)
     if not report.ok:
         bad.append(("2xn", report.failures))
     for row in report.rows:
         if row["diagrams"] != 2 * 3 ** row["n"] - 2 ** row["n"]:
             bad.append(("2xn-count", row["n"], row["diagrams"]))
-    one_row = census.check_primitive_1xn(12)
+    one_row = checks.check_primitive_1xn(12)
     if not one_row.ok:
         bad.append(("1xn", one_row.failures))
     ok = not bad
@@ -142,7 +143,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_vertical_decomposition():
-    report = census.check_lemma_decomposition(5)
+    report = checks.check_lemma_decomposition(5)
     subsets = sum(row["subsets"] for row in report.rows)
     ok = report.ok
     verdict("6 vertical decomposition", ok, f"n<=5, {subsets} column subsets")
@@ -151,13 +152,13 @@ def test_criterion_6_vertical_decomposition():
 
 def test_criterion_7_conjecture_scans():
     bad = []
-    for row in census.check_formula(census.P3_CONJECTURED, range(1, 8)).rows:
+    for row in checks.check_formula(checks.P3_CONJECTURED, range(1, 8)).rows:
         if not row["match"]:
             bad.append(("three-row-formula", row["n"], row["formula"], row["census"]))
-    small = census.scan_power_of_two(4, 4)
+    small = checks.scan_power_of_two(4, 4)
     if not small.ok:
         bad.append(("power-of-two-4x4", small.failures))
-    wide = census.scan_power_of_two(2, 6)
+    wide = checks.scan_power_of_two(2, 6)
     if not wide.ok:
         bad.append(("power-of-two-2x6", wide.failures))
     proportions = [(n, run_census(2, n).proportion()) for n in range(1, 10)]

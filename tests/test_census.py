@@ -4,8 +4,9 @@ from math import comb, factorial
 
 import pytest
 
-from cauchon import backend, census, matching
-from cauchon.census import (
+from cauchon import backend, census, checks, matching
+from cauchon.census import run_census
+from cauchon.checks import (
     UnknownFormulaError,
     check_formula,
     check_relation_eqc,
@@ -14,7 +15,6 @@ from cauchon.census import (
     formula_value,
     power_sum_value,
     proportion,
-    run_census,
     scan_power_of_two,
 )
 from cauchon.cli import main as cli_main
@@ -205,12 +205,12 @@ def test_scan_power_of_two_small():
 
 
 def test_check_criterion_rows_ok():
-    assert census.check_criterion_2xn(5).ok
-    assert census.check_primitive_1xn(8).ok
+    assert checks.check_criterion_2xn(5).ok
+    assert checks.check_primitive_1xn(8).ok
 
 
 def test_check_lemma_decomposition_small():
-    report = census.check_lemma_decomposition(3)
+    report = checks.check_lemma_decomposition(3)
     assert report.ok
     # diagram counts are the no-black-column counts 2^(n+1) - 1
     assert [row["diagrams"] for row in report.rows] == [3, 7, 15]
@@ -225,7 +225,7 @@ def test_check_lemma_decomposition_enumerates_each_diagram_once(monkeypatch):
         return inner(labeled)
 
     monkeypatch.setattr(matching, "_iter_edge_sets", counted)
-    report = census.check_lemma_decomposition(5)
+    report = checks.check_lemma_decomposition(5)
     assert report.ok
     diagrams = sum(row["diagrams"] for row in report.rows)
     assert diagrams == 119
@@ -233,9 +233,9 @@ def test_check_lemma_decomposition_enumerates_each_diagram_once(monkeypatch):
 
 
 def test_check_lemma_decomposition_compares_with_condensation(monkeypatch):
-    real = census.pfaffian
-    monkeypatch.setattr(census, "pfaffian", lambda diagram: real(diagram) + 1)
-    report = census.check_lemma_decomposition(2)
+    real = checks.pfaffian
+    monkeypatch.setattr(checks, "pfaffian", lambda diagram: real(diagram) + 1)
+    report = checks.check_lemma_decomposition(2)
     assert not report.ok
     assert all(f.endswith("vertical sums do not add to Pf") for f in report.failures)
 
@@ -247,6 +247,25 @@ def test_proportion_examples():
     assert proportion(1, 4) == Fraction(1, 2)
     assert proportion(2, 2) == Fraction(5, 14)
     assert run_census(2, 0).proportion() == Fraction(1, 1)
+
+
+def test_census_record_equality_ignores_elapsed():
+    first, second = run_census(3, 4), run_census(3, 4)
+    first.elapsed, second.elapsed = 1.0, 2.0
+    assert first == second
+    # the same histogram under the transposed shape is another record
+    assert first != run_census(4, 3)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 2), (2, 0), (3, 5)])
+def test_payload_proportion_is_reduced(m, n):
+    record = run_census(m, n)
+    payload = record.to_payload()
+    fraction = record.proportion()
+    assert (payload["proportion_num"], payload["proportion_den"]) == (
+        fraction.numerator,
+        fraction.denominator,
+    )
 
 
 # --- exploratory power-sum fit ------------------------------------------------------

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-import cauchon.cli as cli_mod
-from cauchon import backend, census
+from cauchon import backend, checks
 from cauchon.cli import main
+from test_package import run_child
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +253,23 @@ def test_pfaffian_missing_file_exit_4(capsys, tmp_path):
         assert "cannot read grid" in err
 
 
+def test_grid_errors_exit_4_in_a_fresh_interpreter(tmp_path):
+    # the CLI loads the diagram module only once a grid command runs, so its
+    # GridError is caught lazily; this process has loaded it long ago
+    bad_char = tmp_path / "bad.txt"
+    bad_char.write_text("x.\n")
+    not_cauchon = tmp_path / "not_cauchon.txt"
+    not_cauchon.write_text("..\n.#\n")
+    for command, path in [
+        ("pfaffian", bad_char),
+        ("pfaffian", tmp_path),
+        ("matchings", not_cauchon),
+    ]:
+        done = run_child(["-m", "cauchon.cli", command, "--grid", str(path)])
+        assert (done.returncode, done.stdout) == (4, ""), (command, path, done.stderr)
+        assert any(line.startswith("error: ") for line in done.stderr.splitlines())
+
+
 # --- check -----------------------------------------------------------------------------
 
 
@@ -355,12 +372,12 @@ def test_check_rejects_options_the_subject_does_not_take(argv):
 
 
 def test_check_mismatch_exits_1_and_shows_row(capsys, monkeypatch):
-    report = census.CheckReport(
+    report = checks.CheckReport(
         ("n", "formula", "census", "match"),
         [{"n": 1, "formula": Fraction(3), "census": 2, "match": False}],
         ["n=1: formula=3 census=2"],
     )
-    monkeypatch.setattr(cli_mod.census, "check_formula", lambda *a, **k: report)
+    monkeypatch.setattr(checks, "check_formula", lambda *a, **k: report)
     code, out, _ = run_cli(capsys, "check", "formula-2xn", "--max-n", "1")
     assert code == 1
     assert "FAIL" in out

@@ -1,0 +1,103 @@
+"""The package's import graph: what each command loads, and the lazy public API.
+
+These run in child interpreters, because the test process has long loaded
+every submodule and would hide a lazy import that is missing or broken.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cauchon
+
+SRC = str(Path(cauchon.__file__).resolve().parents[1])
+
+#: modules the count path must not load: the rest of the package, and the
+#: standard-library modules only it needs
+HEAVY = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "cauchon.diagram",
+    "cauchon.matching",
+    "cauchon.pfaffian",
+    "cauchon.criterion",
+    "cauchon.backend",
+    "cauchon.checks",
+)
+
+#: runs the CLI as ``python -m cauchon.cli ARGV`` would (or only imports it,
+#: for no ARGV) and prints the exit code and the heavy modules loaded
+GRAPH_CHILD = """
+import json, runpy, sys
+argv, heavy = json.loads(sys.argv[1]), set(json.loads(sys.argv[2]))
+code = 0
+if argv:
+    sys.argv = ["cauchon", *argv]
+    try:
+        runpy.run_module("cauchon.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import cauchon.cli
+print(json.dumps([code, sorted(heavy & set(sys.modules))]))
+"""
+
+
+def run_child(args: list[str]) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the benchmark's census-tall, census-wide and table-pool commands
+        ["count", "--rows", "5", "--cols", "4", "--histogram", "--format", "json", "--workers", "1"],
+        ["count", "--rows", "2", "--cols", "9", "--histogram", "--format", "json", "--workers", "1"],
+        ["table", "--max-rows", "4", "--max-cols", "5", "--workers", "2", "--format", "csv"],
+        ["count", "--rows", "3", "--cols", "4"],
+        [],
+    ],
+)
+def test_count_and_table_load_only_the_census(argv):
+    done = run_child(["-c", GRAPH_CHILD, json.dumps(argv), json.dumps(HEAVY)])
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    assert loaded == []
+
+
+def test_public_names_resolve_lazily():
+    # the submodule first: binding it on the package must not shadow the
+    # public function of the same name
+    child = """
+import json, sys
+import cauchon.pfaffian
+import cauchon
+star = {}
+exec("from cauchon import *", star)
+rows = []
+for name in cauchon.__all__:
+    value = getattr(cauchon, name)
+    home = None if name == "__version__" else getattr(sys.modules[value.__module__], name)
+    rows.append([name, home is None or home is value, name in star, name in dir(cauchon)])
+try:
+    cauchon.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([rows, missing]))
+"""
+    done = run_child(["-c", child])
+    assert done.returncode == 0, done.stderr
+    rows, missing = json.loads(done.stdout)
+    assert [row[0] for row in rows] == cauchon.__all__
+    assert [row for row in rows if not all(row[1:])] == []
+    assert missing is not None and "no_such_name" in missing
