@@ -29,19 +29,16 @@ _EXPORTS = {
     ),
     "criterion": (
         "HasBlackColumnError",
-        "TwoRowStats",
+        "fully_white_columns",
         "primitive_1xn",
         "primitive_2xn_fast",
-        "two_row_stats",
     ),
     "diagram": (
         "BadCharacterError",
         "CauchonDiagram",
         "GridError",
-        "LabeledCauchonDiagram",
         "NonRectangularError",
         "NotCauchonError",
-        "canonical_labels",
         "count_diagrams",
         "count_diagrams_no_black_column",
         "enumerate_diagrams",
@@ -50,7 +47,6 @@ _EXPORTS = {
         "strip_black_columns",
         "transpose",
         "validate",
-        "with_labels",
     ),
     "matching": (
         "MalformedMatchingError",

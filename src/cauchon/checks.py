@@ -16,11 +16,10 @@ from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .census import run_census
-from .criterion import column_label_sum, primitive_1xn, primitive_2xn_fast, two_row_stats
+from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
-    canonical_labels,
     enumerate_diagrams,
     format_grid,
 )
@@ -230,16 +229,15 @@ def check_lemma_decomposition(max_n: int) -> CheckReport:
                 continue
             diagram = CauchonDiagram(2, n, masks)
             diagrams += 1
-            labeled = canonical_labels(diagram)
-            stats = two_row_stats(diagram)
-            vert = sorted(stats.vert_set)
-            sums = vertical_edge_sums(labeled)
+            vert = fully_white_columns(diagram)
+            m, m_prime = (n - mask.bit_count() for mask in masks)
+            sums = vertical_edge_sums(diagram)
             for bits in range(1 << len(vert)):
                 subset = [vert[i] for i in range(len(vert)) if bits >> i & 1]
                 subsets += 1
                 brute = sums.get(frozenset(subset), 0)
-                label_sum = column_label_sum(labeled, subset)
-                closed = _vert_closed_form(len(subset), label_sum, stats.m, stats.m_prime)
+                label_sum = column_label_sum(diagram, subset)
+                closed = _vert_closed_form(len(subset), label_sum, m, m_prime)
                 if brute != closed:
                     failures.append(
                         f"{format_grid(diagram)} T={subset} brute={brute} closed={closed}"

@@ -1,31 +1,25 @@
 """Closed-form primitivity tests for one- and two-row diagrams.
 
 A one-row diagram is primitive exactly when its white count is even. For a
-two-row diagram with no entirely black column, write p for the largest
-column with a black square in row 2, S for the set of fully white columns,
-and sum(S) for the sum of the canonical labels in those columns; the
-diagram is primitive exactly when the two row white counts have equal
-parity and |S| - 2*sum(S) is not congruent to 2m + 2 mod 4 (m the white
-count of row 1). Entirely black columns do not affect the Pfaffian, so the
-two-row test strips them first and needs no precondition.
+two-row diagram with no entirely black column, write S for the set of fully
+white columns (they all lie right of the last black square of row 2), and
+sum(S) for the sum of the labels of the white squares in those columns,
+labeled 1..d in row-major order; the diagram is primitive exactly when the
+two row white counts have equal parity and |S| - 2*sum(S) is not congruent
+to 2m + 2 mod 4 (m the white count of row 1). Entirely black columns do not
+affect the Pfaffian, so the two-row test strips them first and needs no
+precondition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .diagram import (
-    CauchonDiagram,
-    LabeledCauchonDiagram,
-    canonical_labels,
-    strip_black_columns,
-)
+from .diagram import CauchonDiagram, strip_black_columns
 
 __all__ = [
     "HasBlackColumnError",
-    "TwoRowStats",
-    "two_row_stats",
+    "fully_white_columns",
     "column_label_sum",
     "primitive_1xn",
     "primitive_2xn_fast",
@@ -42,58 +36,34 @@ class HasBlackColumnError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class TwoRowStats:
-    """Summary statistics of a two-row diagram with no all-black column.
-
-    ``p`` is the largest column with a black square in row 2 (0 if none);
-    ``vert_set`` holds the fully white columns, which all lie right of
-    column p; ``m``/``m_prime`` are the white counts of rows 1 and 2;
-    ``vert_label_sum`` sums the canonical labels over ``vert_set``.
-    """
-
-    p: int
-    vert_set: frozenset[int]
-    m: int
-    m_prime: int
-    vert_label_sum: int
-
-
-def column_label_sum(labeled: LabeledCauchonDiagram, columns: Iterable[int]) -> int:
+def column_label_sum(diagram: CauchonDiagram, columns: Iterable[int]) -> int:
     """Sum of the labels of all white squares in the given columns."""
     wanted = set(columns)
     return sum(
         label
-        for (row, col), label in zip(labeled.cells, labeled.labels)
+        for label, (_, col) in enumerate(diagram.white_cells(), start=1)
         if col in wanted
     )
 
 
-def two_row_stats(diagram: CauchonDiagram) -> TwoRowStats:
-    """Statistics of a two-row diagram; raises HasBlackColumnError if needed."""
+def fully_white_columns(diagram: CauchonDiagram) -> list[int]:
+    """Ascending columns white in both rows of a two-row diagram.
+
+    They all lie right of the last black square of row 2. Raises ValueError
+    for another row count, and HasBlackColumnError for an entirely black
+    column.
+    """
     if diagram.rows != 2:
         raise ValueError(f"needs a 2-row diagram, got {diagram.rows} rows")
     dead = diagram.black_column_mask()
     if dead:
         raise HasBlackColumnError((dead & -dead).bit_length())
     top, bottom = diagram.row_masks
-    p = bottom.bit_length()
-    vert = frozenset(
+    return [
         col
-        for col in range(p + 1, diagram.cols + 1)
+        for col in range(bottom.bit_length() + 1, diagram.cols + 1)
         if not top >> (col - 1) & 1
-    )
-    n = diagram.cols
-    m = n - top.bit_count()
-    m_prime = n - bottom.bit_count()
-    labeled = canonical_labels(diagram)
-    return TwoRowStats(
-        p=p,
-        vert_set=vert,
-        m=m,
-        m_prime=m_prime,
-        vert_label_sum=column_label_sum(labeled, vert),
-    )
+    ]
 
 
 def primitive_1xn(diagram: CauchonDiagram) -> bool:
@@ -110,11 +80,13 @@ def primitive_2xn_fast(diagram: CauchonDiagram) -> bool:
     mod-4 test on the stripped diagram. Agrees with the Pfaffian test on
     every two-row diagram.
     """
-    if diagram.rows != 2:
-        raise ValueError(f"needs a 2-row diagram, got {diagram.rows} rows")
-    stats = two_row_stats(strip_black_columns(diagram))
-    if (stats.m - stats.m_prime) % 2:
+    stripped = strip_black_columns(diagram)
+    vert = fully_white_columns(stripped)
+    top, bottom = stripped.row_masks
+    m = stripped.cols - top.bit_count()
+    m_prime = stripped.cols - bottom.bit_count()
+    if (m - m_prime) % 2:
         return False
-    lhs = (len(stats.vert_set) - 2 * stats.vert_label_sum) % 4
-    rhs = (2 * stats.m + 2) % 4
+    lhs = (len(vert) - 2 * column_label_sum(stripped, vert)) % 4
+    rhs = (2 * m + 2) % 4
     return lhs != rhs

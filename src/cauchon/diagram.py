@@ -5,7 +5,8 @@ some squares are coloured black, subject to the condition that every black
 square has either all squares strictly to its left black, or all squares
 strictly above it black. Diagrams are stored as one bitmask per row, with
 bit (col - 1) set when the square in that column is black; rows and columns
-are 1-indexed throughout.
+are 1-indexed throughout. White squares are labeled 1..d in row-major order,
+the one labeling the paper's criteria and the matching sums use.
 
 Enumeration is deterministic: diagrams are emitted in lexicographic order of
 the row-major black mask (reading the grid row by row, left to right, with
@@ -15,7 +16,7 @@ white < black), smallest first, so the all-white diagram always comes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
@@ -27,7 +28,6 @@ __all__ = [
     "BadCharacterError",
     "NotCauchonError",
     "CauchonDiagram",
-    "LabeledCauchonDiagram",
     "validate",
     "parse_grid",
     "format_grid",
@@ -36,8 +36,6 @@ __all__ = [
     "count_diagrams_no_black_column",
     "strip_black_columns",
     "transpose",
-    "canonical_labels",
-    "with_labels",
     "white_coordinates",
 ]
 
@@ -180,8 +178,8 @@ def white_coordinates(row_masks: Sequence[int], n: int) -> tuple[list[int], list
     """Rows and columns of the white squares, in row-major order.
 
     This is the one place that fixes the order of the white squares: the
-    k-th white square is row k (and column k) of the skew adjacency matrix,
-    and carries the k-th label of an admissible labeling.
+    k-th white square has label k, and is row k (and column k) of the skew
+    adjacency matrix.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -206,11 +204,10 @@ def validate(black_cells: Iterable[tuple[int, int]], m: int, n: int) -> bool:
         if not (1 <= row <= m and 1 <= col <= n):
             raise ValueError(f"cell ({row}, {col}) outside {m}x{n} grid")
         masks[row - 1] |= 1 << (col - 1)
-    above = (1 << n) - 1
-    for mask in masks:
-        if _row_violation(mask, above):
-            return False
-        above &= mask
+    try:
+        CauchonDiagram(m, n, tuple(masks))
+    except NotCauchonError:
+        return False
     return True
 
 
@@ -353,59 +350,3 @@ def transpose(diagram: CauchonDiagram) -> CauchonDiagram:
                 mask |= 1 << (row - 1)
         masks.append(mask)
     return CauchonDiagram(diagram.cols, diagram.rows, tuple(masks))
-
-
-@dataclass(frozen=True)
-class LabeledCauchonDiagram:
-    """A diagram with integer labels on its white squares.
-
-    ``labels`` lists the labels of the white squares in row-major order.
-    Admissibility means the sequence is strictly increasing and positive;
-    this is equivalent to labels increasing left to right within each row
-    and every label in a row being smaller than every label in later rows.
-    """
-
-    diagram: CauchonDiagram
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        d = self.diagram.white_count
-        if len(self.labels) != d:
-            raise ValueError(f"expected {d} labels, got {len(self.labels)}")
-        if d and self.labels[0] < 1:
-            raise ValueError("labels must be positive integers")
-        for a, b in zip(self.labels, self.labels[1:]):
-            if a >= b:
-                raise ValueError(
-                    f"labels must be strictly increasing in row-major order; got {a} before {b}"
-                )
-
-    @cached_property
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        """White squares in row-major order; ``cells[k]`` carries ``labels[k]``."""
-        return self.diagram.white_cells()
-
-    @cached_property
-    def _cell_by_label(self) -> dict[int, tuple[int, int]]:
-        return dict(zip(self.labels, self.cells))
-
-    def cell_of(self, label: int) -> tuple[int, int]:
-        return self._cell_by_label[label]
-
-    def label_of(self, row: int, col: int) -> int:
-        idx = self.cells.index((row, col))
-        return self.labels[idx]
-
-    @property
-    def white_count(self) -> int:
-        return self.diagram.white_count
-
-
-def canonical_labels(diagram: CauchonDiagram) -> LabeledCauchonDiagram:
-    """Label white squares 1..d in row-major order."""
-    return LabeledCauchonDiagram(diagram, tuple(range(1, diagram.white_count + 1)))
-
-
-def with_labels(diagram: CauchonDiagram, labels: Iterable[int]) -> LabeledCauchonDiagram:
-    """Attach an explicit admissible labeling (row-major order)."""
-    return LabeledCauchonDiagram(diagram, tuple(labels))

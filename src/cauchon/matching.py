@@ -1,15 +1,15 @@
 """Perfect matchings of the white-square graph and the matching-sum Pfaffian.
 
-The white squares of a labeled diagram form a directed graph with an edge
-from one square to another when the first is strictly left of the second in
-the same row, or strictly above it in the same column; with admissible
-labels every edge goes from the smaller label to the larger. A perfect
-matching pairs all white squares along such edges, its sign is the sign of
-the permutation (1..2m) -> (i1, j1, ..., im, jm) computed by counting
-inversions, and the signed sum over all perfect matchings is the Pfaffian
-of the skew adjacency matrix. This brute-force route is exponential and is
-meant as an independent cross-check of the elimination kernel at small
-sizes.
+The white squares of a diagram, labeled 1..d in row-major order, form a
+directed graph with an edge from one square to another when the first is
+strictly left of the second in the same row, or strictly above it in the
+same column, so every edge goes from the smaller label to the larger. A
+perfect matching pairs all white squares along such edges, its sign is the
+sign of the permutation (1..2m) -> (i1, j1, ..., im, jm) computed by
+counting inversions, and the signed sum over all perfect matchings is the
+Pfaffian of the skew adjacency matrix. This brute-force route is
+exponential and is meant as an independent cross-check of the elimination
+kernel at small sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import CauchonDiagram, LabeledCauchonDiagram, canonical_labels
+from .criterion import fully_white_columns
+from .diagram import CauchonDiagram
 
 __all__ = [
     "MalformedMatchingError",
@@ -36,12 +37,6 @@ class MalformedMatchingError(ValueError):
     """Edge list that is not a matching with i < j on every edge."""
 
 
-def _as_labeled(source: CauchonDiagram | LabeledCauchonDiagram) -> LabeledCauchonDiagram:
-    if isinstance(source, LabeledCauchonDiagram):
-        return source
-    return canonical_labels(source)
-
-
 @dataclass(frozen=True)
 class Matching:
     """A perfect matching, as a tuple of (i, j) edges with i < j."""
@@ -56,18 +51,14 @@ class Matching:
         return matching_sign(self.edges)
 
 
-def white_edges(source: CauchonDiagram | LabeledCauchonDiagram) -> tuple[tuple[int, int], ...]:
+def white_edges(diagram: CauchonDiagram) -> tuple[tuple[int, int], ...]:
     """Same-row-left and same-column-above (smaller, larger) label pairs, ascending."""
-    labeled = _as_labeled(source)
-    cells = labeled.cells
-    labels = labeled.labels
+    cells = list(enumerate(diagram.white_cells(), start=1))
     edges = []
-    for a in range(len(cells)):
-        ra, ca = cells[a]
-        for b in range(a + 1, len(cells)):
-            rb, cb = cells[b]
+    for a, (ra, ca) in cells:
+        for b, (rb, cb) in cells[a:]:  # the squares after label a
             if ra == rb or ca == cb:
-                edges.append((labels[a], labels[b]))
+                edges.append((a, b))
     return tuple(edges)
 
 
@@ -117,13 +108,11 @@ def matching_sign(matching: Matching | Iterable[tuple[int, int]]) -> int:
     return -1 if inversions(_endpoints(edges)) % 2 else 1
 
 
-def _iter_edge_sets(
-    labeled: LabeledCauchonDiagram,
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    # pair the lowest unmatched label with each admissible partner in turn
-    labels = labeled.labels
+def _iter_edge_sets(diagram: CauchonDiagram) -> Iterator[tuple[tuple[int, int], ...]]:
+    # pair the lowest unmatched label with each later neighbour in turn
+    labels = tuple(range(1, diagram.white_count + 1))
     adjacency: dict[int, list[int]] = {label: [] for label in labels}
-    for i, j in white_edges(labeled):
+    for i, j in white_edges(diagram):
         adjacency[i].append(j)
 
     def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -143,43 +132,33 @@ def _iter_edge_sets(
     yield from rec(labels)
 
 
-def enumerate_matchings(
-    source: CauchonDiagram | LabeledCauchonDiagram,
-) -> Iterator[Matching]:
+def enumerate_matchings(diagram: CauchonDiagram) -> Iterator[Matching]:
     """Every perfect matching exactly once.
 
     The stream is empty when the white count is odd and contains the single
     empty matching when there are no white squares.
     """
-    labeled = _as_labeled(source)
-    for edges in _iter_edge_sets(labeled):
+    for edges in _iter_edge_sets(diagram):
         yield Matching(edges)
 
 
-def pfaffian_by_matchings(source: CauchonDiagram | LabeledCauchonDiagram) -> int:
+def pfaffian_by_matchings(diagram: CauchonDiagram) -> int:
     """Signed count of perfect matchings; 0 when the white count is odd."""
-    labeled = _as_labeled(source)
-    return sum(matching_sign(edges) for edges in _iter_edge_sets(labeled))
+    return sum(matching_sign(edges) for edges in _iter_edge_sets(diagram))
 
 
-def vertical_edge_sums(
-    source: CauchonDiagram | LabeledCauchonDiagram,
-) -> dict[frozenset[int], int]:
+def vertical_edge_sums(diagram: CauchonDiagram) -> dict[frozenset[int], int]:
     """Signed matching sums keyed by the set of columns holding vertical edges.
 
     One pass over the perfect matchings adds each sign under the columns
     whose two squares it pairs; an absent key reads as 0. Only defined for
-    two-row diagrams without entirely black columns.
+    two-row diagrams without entirely black columns: the guard of
+    ``fully_white_columns`` raises ValueError, or HasBlackColumnError.
     """
-    labeled = _as_labeled(source)
-    diagram = labeled.diagram
-    if diagram.rows != 2:
-        raise ValueError(f"needs a 2-row diagram, got {diagram.rows} rows")
-    if diagram.black_column_mask():
-        raise ValueError("diagram has an entirely black column; strip it first")
-    column = {label: col for label, (_, col) in zip(labeled.labels, labeled.cells)}
+    fully_white_columns(diagram)
+    column = {label: col for label, (_, col) in enumerate(diagram.white_cells(), start=1)}
     sums: dict[frozenset[int], int] = {}
-    for edges in _iter_edge_sets(labeled):
+    for edges in _iter_edge_sets(diagram):
         used = frozenset(column[i] for i, j in edges if column[i] == column[j])
         sums[used] = sums.get(used, 0) + matching_sign(edges)
     return sums

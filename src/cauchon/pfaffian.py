@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backend
-from .diagram import CauchonDiagram, LabeledCauchonDiagram, white_coordinates
+from .diagram import CauchonDiagram, white_coordinates
 
 __all__ = [
     "SkewAdjacency",
@@ -52,13 +52,8 @@ class SkewAdjacency:
                     raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) are not antisymmetric")
 
 
-def skew_adjacency(source: CauchonDiagram | LabeledCauchonDiagram) -> SkewAdjacency:
-    """Build A_C; the matrix depends only on the white squares' positions.
-
-    With admissible labels, sorting by label is exactly row-major order, so
-    any admissible labeling yields the same matrix.
-    """
-    diagram = source.diagram if isinstance(source, LabeledCauchonDiagram) else source
+def skew_adjacency(diagram: CauchonDiagram) -> SkewAdjacency:
+    """Build A_C; the matrix depends only on the white squares' positions."""
     rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
     entries = backend.skew_matrix(rows, cols)
     return SkewAdjacency(len(rows), tuple(tuple(row) for row in entries))

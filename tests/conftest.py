@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from cauchon import CauchonDiagram, enumerate_diagrams
+from cauchon import CauchonDiagram, enumerate_diagrams, enumerate_matchings, matching_sign
 
 # A well-formed 4x6 grid with 14 white squares; black cells exercise both
 # clauses of the diagram condition.
 GRID_4x6 = "..#.#.\n#.#...\n##....\n####.."
 
-# An admissible gapped labeling of GRID_4x6's white squares, row-major.
+# A strictly increasing gapped relabeling of GRID_4x6's white squares:
+# label k (row-major) becomes GAPPED_LABELS_4x6[k - 1].
 GAPPED_LABELS_4x6 = (1, 3, 4, 7, 8, 10, 11, 13, 15, 16, 17, 18, 19, 22)
 
 # A 2x6 grid without black columns: row 2 has a single leading black square.
@@ -38,3 +39,15 @@ def sample_diagrams(max_m: int, max_n: int, count: int, seed: int) -> list[Cauch
         pool = rng.choice(pools)
         out.append(rng.choice(pool))
     return out
+
+
+def relabeled_matching_sum(diagram: CauchonDiagram, labels) -> int:
+    """Signed matching sum with label k of every edge mapped to labels[k - 1].
+
+    For a strictly increasing ``labels`` every mapped edge keeps i < j, and
+    the sum is the Pfaffian whatever the label values.
+    """
+    return sum(
+        matching_sign((labels[i - 1], labels[j - 1]) for i, j in matching.edges)
+        for matching in enumerate_matchings(diagram)
+    )

@@ -3,43 +3,49 @@ import pytest
 from cauchon import (
     CauchonDiagram,
     HasBlackColumnError,
-    canonical_labels,
     enumerate_diagrams,
+    fully_white_columns,
     is_primitive,
     parse_grid,
     primitive_1xn,
     primitive_2xn_fast,
-    two_row_stats,
 )
 from cauchon.criterion import column_label_sum
 from conftest import GRID_2x6
 
 
+def row_white_counts(diagram):
+    return tuple(diagram.cols - mask.bit_count() for mask in diagram.row_masks)
+
+
 def test_two_row_stats_example_grid():
-    stats = two_row_stats(parse_grid(GRID_2x6))
-    assert stats.p == 1
-    assert stats.vert_set == frozenset({2, 4, 6})
-    assert (stats.m, stats.m_prime) == (4, 5)
-    labeled = canonical_labels(parse_grid(GRID_2x6))
-    assert column_label_sum(labeled, {2, 3}) == 13
+    diagram = parse_grid(GRID_2x6)
+    assert diagram.row_masks[1].bit_length() == 1
+    assert fully_white_columns(diagram) == [2, 4, 6]
+    assert row_white_counts(diagram) == (4, 5)
+    assert column_label_sum(diagram, {2, 3}) == 13
 
 
 def test_two_row_stats_all_white():
-    stats = two_row_stats(CauchonDiagram.all_white(2, 1))
-    assert (stats.p, stats.vert_set, stats.vert_label_sum) == (0, frozenset({1}), 3)
-    stats = two_row_stats(CauchonDiagram.all_white(2, 2))
-    assert (stats.p, stats.vert_set, stats.vert_label_sum) == (0, frozenset({1, 2}), 10)
+    diagram = CauchonDiagram.all_white(2, 1)
+    assert diagram.row_masks[1].bit_length() == 0
+    assert fully_white_columns(diagram) == [1]
+    assert column_label_sum(diagram, fully_white_columns(diagram)) == 3
+    diagram = CauchonDiagram.all_white(2, 2)
+    assert diagram.row_masks[1].bit_length() == 0
+    assert fully_white_columns(diagram) == [1, 2]
+    assert column_label_sum(diagram, fully_white_columns(diagram)) == 10
 
 
 def test_two_row_stats_rejects_black_column():
     with pytest.raises(HasBlackColumnError) as err:
-        two_row_stats(parse_grid("#.\n#."))
+        fully_white_columns(parse_grid("#.\n#."))
     assert err.value.column == 1
 
 
 def test_two_row_stats_rejects_wrong_rows():
     with pytest.raises(ValueError):
-        two_row_stats(CauchonDiagram.all_white(3, 2))
+        fully_white_columns(CauchonDiagram.all_white(3, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -47,15 +53,15 @@ def test_vert_set_is_exactly_fully_white_columns(n):
     for diagram in enumerate_diagrams(2, n):
         if diagram.black_column_mask():
             continue
-        stats = two_row_stats(diagram)
+        columns = fully_white_columns(diagram)
         fully_white = {
             col
             for col in range(1, n + 1)
             if not diagram.is_black(1, col) and not diagram.is_black(2, col)
         }
-        assert stats.vert_set == fully_white
-        assert all(col > stats.p for col in stats.vert_set)
-        assert stats.m + stats.m_prime == diagram.white_count
+        assert columns == sorted(fully_white)
+        assert all(col > diagram.row_masks[1].bit_length() for col in columns)
+        assert sum(row_white_counts(diagram)) == diagram.white_count
 
 
 def test_primitive_1xn_examples():

@@ -6,20 +6,22 @@ from cauchon import (
     BadCharacterError,
     CauchonDiagram,
     GridError,
+    MalformedMatchingError,
+    Matching,
     NonRectangularError,
     NotCauchonError,
     backend,
-    canonical_labels,
     census,
     count_diagrams,
     count_diagrams_no_black_column,
     enumerate_diagrams,
+    enumerate_matchings,
     format_grid,
     parse_grid,
     strip_black_columns,
     transpose,
     validate,
-    with_labels,
+    white_edges,
 )
 from cauchon.diagram import _iter_row_masks, white_coordinates
 from conftest import GRID_4x6
@@ -318,33 +320,48 @@ def test_transpose_is_involutive_bijection(small_diagrams):
         assert set(images) == set(small_diagrams[(n, m)])
 
 
-# --- labelings ----------------------------------------------------------------
+# --- labels: the k-th white square in row-major order has label k ------------
 
 
 def test_canonical_labels_2x2():
-    labeled = canonical_labels(CauchonDiagram.all_white(2, 2))
-    assert labeled.labels == (1, 2, 3, 4)
-    assert labeled.cells == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert labeled.label_of(2, 1) == 3
-    assert labeled.cell_of(4) == (2, 2)
+    diagram = CauchonDiagram.all_white(2, 2)
+    cells = diagram.white_cells()
+    assert cells == ((1, 1), (1, 2), (2, 1), (2, 2))
+    label = {cell: index + 1 for index, cell in enumerate(cells)}
+    assert label[(2, 1)] == 3
+    assert cells[4 - 1] == (2, 2)
+    # the matching oracle numbers the squares the same way
+    assert set(white_edges(diagram)) == {
+        (label[a], label[b])
+        for a in cells
+        for b in cells
+        if label[a] < label[b] and (a[0] == b[0] or a[1] == b[1])
+    }
 
 
 def test_canonical_labels_single_row():
-    labeled = canonical_labels(CauchonDiagram.all_white(1, 4))
-    assert labeled.labels == (1, 2, 3, 4)
+    cells = CauchonDiagram.all_white(1, 4).white_cells()
+    assert [index + 1 for index, _ in enumerate(cells)] == [1, 2, 3, 4]
+    assert cells == ((1, 1), (1, 2), (1, 3), (1, 4))
 
 
 def test_canonical_labels_all_black():
-    labeled = canonical_labels(CauchonDiagram.all_black(2, 2))
-    assert labeled.labels == ()
+    diagram = CauchonDiagram.all_black(2, 2)
+    assert diagram.white_cells() == ()
+    assert white_edges(diagram) == ()
 
 
 def test_with_labels_validates():
-    diagram = CauchonDiagram.all_white(1, 3)
-    assert with_labels(diagram, (2, 5, 9)).labels == (2, 5, 9)
-    with pytest.raises(ValueError):
-        with_labels(diagram, (1, 2))
-    with pytest.raises(ValueError):
-        with_labels(diagram, (3, 2, 5))
-    with pytest.raises(ValueError):
-        with_labels(diagram, (0, 1, 2))
+    # mapped through a relabeling, every matching stays well formed only if
+    # the relabeling is strictly increasing
+    matchings = [m.edges for m in enumerate_matchings(CauchonDiagram.all_white(1, 4))]
+
+    def relabel(edges, labels):
+        return Matching(tuple((labels[i - 1], labels[j - 1]) for i, j in edges))
+
+    for edges in matchings:
+        assert relabel(edges, (2, 5, 9, 11)).sign == Matching(edges).sign
+    for labels in [(3, 2, 5, 7), (1, 3, 5, 4), (1, 1, 2, 3), (1, 2, 2, 3)]:
+        with pytest.raises(MalformedMatchingError):
+            for edges in matchings:
+                relabel(edges, labels)

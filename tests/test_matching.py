@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from cauchon import (
     CauchonDiagram,
+    HasBlackColumnError,
     MalformedMatchingError,
     Matching,
-    canonical_labels,
     enumerate_matchings,
     inversions,
     inversions_between,
@@ -18,9 +18,8 @@ from cauchon import (
     pfaffian_by_matchings,
     vertical_edge_sums,
     white_edges,
-    with_labels,
 )
-from conftest import GAPPED_LABELS_4x6, GRID_4x6
+from conftest import GAPPED_LABELS_4x6, GRID_4x6, relabeled_matching_sum
 
 
 # --- white graph --------------------------------------------------------------
@@ -140,9 +139,12 @@ def test_enumerate_matchings_empty_diagram():
 
 
 def test_enumerate_matchings_gapped_label_example():
-    labeled = with_labels(parse_grid(GRID_4x6), GAPPED_LABELS_4x6)
+    labels = GAPPED_LABELS_4x6
     expected = ((1, 4), (3, 8), (7, 13), (10, 16), (11, 17), (15, 18), (19, 22))
-    found = {m.edges for m in enumerate_matchings(labeled)}
+    found = {
+        tuple((labels[i - 1], labels[j - 1]) for i, j in m.edges)
+        for m in enumerate_matchings(parse_grid(GRID_4x6))
+    }
     assert expected in found
 
 
@@ -184,13 +186,13 @@ def test_pfaffian_by_matchings_label_invariance(small_diagrams):
         for diagram in diagrams:
             d = diagram.white_count
             canonical = pfaffian_by_matchings(diagram)
-            gapped = with_labels(diagram, tuple(3 * k + 5 for k in range(d)))
-            assert pfaffian_by_matchings(gapped) == canonical
+            gapped = tuple(3 * k + 5 for k in range(d))
+            assert relabeled_matching_sum(diagram, gapped) == canonical
 
 
 def test_pfaffian_by_matchings_gapped_example():
-    labeled = with_labels(parse_grid(GRID_4x6), GAPPED_LABELS_4x6)
-    assert pfaffian_by_matchings(labeled) == pfaffian_by_matchings(parse_grid(GRID_4x6))
+    diagram = parse_grid(GRID_4x6)
+    assert relabeled_matching_sum(diagram, GAPPED_LABELS_4x6) == pfaffian_by_matchings(diagram)
 
 
 # --- vertical-edge sums ------------------------------------------------------------
@@ -206,7 +208,7 @@ def test_vertical_edge_sums_2x2():
 
 def test_vertical_edge_sums_total_to_pfaffian():
     diagram = parse_grid("..#.\n#...")
-    sums = vertical_edge_sums(canonical_labels(diagram))
+    sums = vertical_edge_sums(diagram)
     assert sum(sums.values()) == pfaffian_by_matchings(diagram)
     # vertical edges can only sit in the fully white columns 2 and 4
     assert all(columns <= {2, 4} for columns in sums)
@@ -215,5 +217,6 @@ def test_vertical_edge_sums_total_to_pfaffian():
 def test_vertical_edge_sums_rejects_bad_diagram():
     with pytest.raises(ValueError):
         vertical_edge_sums(CauchonDiagram.all_white(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(HasBlackColumnError) as err:
         vertical_edge_sums(parse_grid("#.\n#."))
+    assert err.value.column == 1

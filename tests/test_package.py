@@ -101,3 +101,26 @@ print(json.dumps([rows, missing]))
     assert [row[0] for row in rows] == cauchon.__all__
     assert [row for row in rows if not all(row[1:])] == []
     assert missing is not None and "no_such_name" in missing
+
+
+def test_label_layer_is_not_public():
+    # a white square's label is its row-major position; no labeling type or
+    # two-row record is exported, and fully_white_columns loads on first use
+    child = """
+import json, sys
+import cauchon
+gone = ["LabeledCauchonDiagram", "canonical_labels", "with_labels", "TwoRowStats", "two_row_stats"]
+listed = [name for name in gone if name in cauchon.__all__]
+try:
+    from cauchon import with_labels
+    imported = True
+except ImportError:
+    imported = False
+before = "cauchon.criterion" in sys.modules
+value = cauchon.fully_white_columns
+home = sys.modules["cauchon.criterion"].fully_white_columns
+print(json.dumps([listed, imported, before, value is home]))
+"""
+    done = run_child(["-c", child])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], False, False, True]
