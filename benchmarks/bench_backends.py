@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the exact condensation kernel, the census and CLI cold start.
+"""Benchmark the exact condensation kernel, the cycle nullity, the census and CLI cold start.
 
 Classifies (Pfaffian + nullity) every diagram of one shape through the
-kernel and reports the per-diagram timing, then times the public census,
-which runs no kernel: one transfer pass over row states. Last, it times
+kernel and reports the per-diagram timing. On the same diagrams it times
+the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
+permutation folded from the row masks, and counts its mismatches against
+the kernel's nullity. Then it times the public census, which runs no
+kernel: one transfer pass over row states. Last, it times
 ``cauchon count --rows 5 --cols 4 --histogram --format json`` in a fresh
 interpreter, on a copy of the package without ``.pyc`` files and writing
 none, as the benchmark runs it, and counts the modules that run loads beyond
@@ -28,13 +31,13 @@ from cauchon.diagram import _iter_row_masks, white_coordinates
 COLD_COMMAND = ["-m", "cauchon.cli", "count", "--rows", "5", "--cols", "4", "--histogram", "--format", "json"]
 
 
-def time_kernel(classify, workload, repeats: int) -> float:
-    """Best-of-repeats wall time for one pass over the workload, in seconds."""
+def best_pass(fn, workload, repeats: int) -> float:
+    """Best-of-repeats wall time for ``fn(*args)`` over every args in the workload, in seconds."""
     timings = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for rows, cols in workload:
-            classify(rows, cols)
+        for args in workload:
+            fn(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
 
@@ -59,15 +62,26 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    workload = [
-        white_coordinates(masks, args.cols)
-        for masks in _iter_row_masks(args.rows, args.cols)
-    ]
+    diagrams = list(_iter_row_masks(args.rows, args.cols))
+    workload = [white_coordinates(masks, args.cols) for masks in diagrams]
     count = len(workload)
     print(f"shape {args.rows}x{args.cols}: {count} diagrams")
 
-    kernel_time = time_kernel(backend.classify_cells, workload, args.repeats)
+    kernel_time = best_pass(backend.classify_cells, workload, args.repeats)
     print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram)")
+
+    def cycle_nullity(masks):
+        return census._even_cycles(census._diagram_wires(args.cols, masks))
+
+    cycles_time = best_pass(cycle_nullity, [(masks,) for masks in diagrams], args.repeats)
+    mismatches = sum(
+        cycle_nullity(masks) != backend.classify_cells(*cells)[1]
+        for masks, cells in zip(diagrams, workload)
+    )
+    print(
+        f"cycles      : {cycles_time:8.3f}s  ({1e6 * cycles_time / count:8.2f} us/diagram, "
+        f"{mismatches} mismatches against the kernel)"
+    )
 
     record = census.run_census(args.rows, args.cols)
     states = len(census._transfer(min(args.rows, args.cols), max(args.rows, args.cols)))

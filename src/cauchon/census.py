@@ -148,6 +148,18 @@ def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
     return states
 
 
+def _diagram_wires(width: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The wires one diagram ends in: its row masks folded from the transfer's start.
+
+    The nullity of a single diagram is ``_even_cycles`` of these wires, the
+    same count the census takes over the states ``_transfer`` ends in.
+    """
+    wires = tuple(2 * w + 1 for w in range(width))
+    for row in rows:
+        wires = tuple([wires[src] ^ flip for src, flip in _wire_moves(width, row)])
+    return wires
+
+
 def _even_cycles(wires: tuple[int, ...]) -> int:
     """Number of cycles of the wire permutation whose parities sum to even."""
     seen = [False] * len(wires)

@@ -9,15 +9,22 @@ variables of the associated quantum torus (for skew-symmetric matrices the
 kernel of the transpose has the same dimension, so a single nullity is
 exposed).
 
-All arithmetic is exact; elimination runs through the integer condensation
-kernel in ``backend``, never floating point.
+The nullity, the rank and primitivity need no matrix. By Bell, Casteels
+and Launois ("Enumeration of H-strata in quantum matrices with respect to
+dimension", J. Combin. Theory Ser. A 119, 2012), the nullity is the number
+of even cycles of the diagram's toric permutation; ``nullity`` folds the
+diagram's rows into that permutation with the census's own transfer step,
+so census and single queries share one nullity. The integer condensation
+kernel in ``backend`` serves only ``pfaffian``, ``classify``,
+``determinant`` and the oracles. All arithmetic is exact, never floating
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import backend
+from . import backend, census
 from .diagram import CauchonDiagram, white_coordinates
 
 __all__ = [
@@ -84,8 +91,11 @@ def nullity(diagram: CauchonDiagram) -> int:
 
     Zero exactly when the diagram is primitive. The rank of a skew-symmetric
     matrix is even, so the nullity always has the parity of the white count.
+    It is the number of even cycles of the diagram's toric permutation (Bell,
+    Casteels and Launois 2012), built from the row masks in O(m * n) with no
+    condensation; ``classify`` gives the same value from the matrix.
     """
-    return classify(diagram)[1]
+    return census._even_cycles(census._diagram_wires(diagram.cols, diagram.row_masks))
 
 
 def rank(diagram: CauchonDiagram) -> int:
@@ -96,6 +106,7 @@ def rank(diagram: CauchonDiagram) -> int:
 def is_primitive(diagram: CauchonDiagram) -> bool:
     """True iff the corresponding torus-invariant prime is primitive.
 
-    Equivalent tests: nonzero Pfaffian, nonzero determinant, zero nullity.
+    Equivalent tests: nonzero Pfaffian, nonzero determinant, zero nullity;
+    the last runs no condensation.
     """
-    return pfaffian(diagram) != 0
+    return nullity(diagram) == 0

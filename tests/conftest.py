@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cauchon import CauchonDiagram, enumerate_diagrams, enumerate_matchings, matching_sign
+from cauchon.census import _row_candidates
 
 # A well-formed 4x6 grid with 14 white squares; black cells exercise both
 # clauses of the diagram condition.
@@ -38,6 +39,26 @@ def sample_diagrams(max_m: int, max_n: int, count: int, seed: int) -> list[Cauch
     for _ in range(count):
         pool = rng.choice(pools)
         out.append(rng.choice(pool))
+    return out
+
+
+def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
+    """Deterministic diagrams of shapes too large to enumerate, cycling through ``shapes``.
+
+    Each row is drawn uniformly from the rows admissible under the ones
+    above it (the census's ``_row_candidates``), so every draw is a diagram.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m, n = shapes[k % len(shapes)]
+        above = (1 << n) - 1
+        masks = []
+        for _ in range(m):
+            row = rng.choice(_row_candidates(n, above))
+            masks.append(row)
+            above &= row
+        out.append(CauchonDiagram(m, n, tuple(masks)))
     return out
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import cauchon.backend
 from cauchon import (
     CauchonDiagram,
     SkewAdjacency,
@@ -16,7 +17,7 @@ from cauchon import (
     white_edges,
 )
 from cauchon.diagram import enumerate_diagrams, white_coordinates
-from conftest import GRID_4x6, relabeled_matching_sum, sample_diagrams
+from conftest import GRID_4x6, random_diagrams, relabeled_matching_sum, sample_diagrams
 
 
 # --- skew adjacency -------------------------------------------------------------
@@ -149,6 +150,33 @@ def test_rank_is_even_and_nullity_has_white_parity(small_diagrams):
             assert rank(diagram) % 2 == 0
             assert nul % 2 == diagram.white_count % 2
             assert (nul == 0) == is_primitive(diagram)
+            assert (nul == 0) == (pfaffian(diagram) != 0)
+
+
+#: shapes beyond ``sample_diagrams``' reach, for the seeded large sample
+LARGE_SHAPES = [(6, 8), (7, 7), (8, 8), (9, 12)]
+
+
+def test_nullity_matches_condensation():
+    # the cycle nullity against the condensation's, which shares no code with it
+    every = [d for m in range(1, 5) for n in range(5) for d in enumerate_diagrams(m, n)]
+    large = random_diagrams(LARGE_SHAPES, 152, seed=20261018)
+    for diagram in every + large:
+        rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+        assert nullity(diagram) == cauchon.backend.classify_cells(rows, cols)[1], str(diagram)
+    for diagram in large:
+        assert nullity(transpose(diagram)) == nullity(diagram), str(diagram)
+
+
+def test_nullity_rank_and_primitivity_run_no_condensation(monkeypatch):
+    def refuse(rows, cols):
+        raise AssertionError("classify_cells was called")
+
+    monkeypatch.setattr(cauchon.backend, "classify_cells", refuse)
+    diagram = parse_grid(GRID_4x6)
+    assert (nullity(diagram), rank(diagram), is_primitive(diagram)) == (0, 14, True)
+    with pytest.raises(AssertionError):
+        pfaffian(diagram)
 
 
 def test_random_shapes_cross_checks():
