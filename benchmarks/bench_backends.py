@@ -7,10 +7,12 @@ the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
 the kernel's nullity. Then it times the public census, which runs no
 kernel: one transfer pass over row states. Last, it times
-``cauchon count --rows 5 --cols 4 --histogram --format json`` in a fresh
-interpreter, on a copy of the package without ``.pyc`` files and writing
-none, as the benchmark runs it, and counts the modules that run loads beyond
-``argparse`` and ``json``. Run from the repository root:
+``cauchon count --rows 5 --cols 4 --histogram --format json`` and
+``cauchon table --max-rows 4 --max-cols 5 --format csv`` in fresh
+interpreters, on a copy of the package without ``.pyc`` files and writing
+none, as the benchmark runs them, counts the modules the count command
+loads beyond ``argparse`` and ``json``, and the lines of ``cauchon`` source
+it compiles. Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
 """
@@ -29,6 +31,7 @@ from cauchon import backend, census
 from cauchon.diagram import _iter_row_masks, white_coordinates
 
 COLD_COMMAND = ["-m", "cauchon.cli", "count", "--rows", "5", "--cols", "4", "--histogram", "--format", "json"]
+COLD_TABLE = ["-m", "cauchon.cli", "table", "--max-rows", "4", "--max-cols", "5", "--format", "csv"]
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -53,6 +56,13 @@ def imported_modules(args: list[str], path: str) -> set[str]:
     lines = run_cold(["-X", "importtime", *args], path).stderr.splitlines()
     names = {line.split("|")[-1].strip() for line in lines if line.startswith("import time:")}
     return names - {"imported package"}  # the log's header line
+
+
+def source_lines(path: str, name: str) -> int:
+    """Lines of the source of module ``name`` under ``path``."""
+    source = Path(path, *name.split("."))
+    source = source / "__init__.py" if source.is_dir() else source.with_suffix(".py")
+    return len(source.read_text().splitlines())
 
 
 def main() -> None:
@@ -93,17 +103,22 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as path:
         package = Path(cauchon.__file__).resolve().parent
         shutil.copytree(package, Path(path) / "cauchon", ignore=shutil.ignore_patterns("__pycache__"))
-        walls = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            run_cold(COLD_COMMAND, path)
-            walls.append(time.perf_counter() - start)
+        for command in (COLD_COMMAND, COLD_TABLE):
+            walls = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                run_cold(command, path)
+                walls.append(time.perf_counter() - start)
+            print(f"cold start  : {1e3 * min(walls):8.1f}ms  (min of {args.repeats}, `cauchon {' '.join(command[2:])}`)")
         extra = imported_modules(COLD_COMMAND, path) - imported_modules(["-c", "import argparse, json"], path)
-    own = sorted(name for name in extra if name.split(".")[0] == "cauchon")
+        # under -m, cauchon.cli runs as __main__ and is compiled all the same
+        own = sorted({*(name for name in extra if name.split(".")[0] == "cauchon"), "cauchon.cli"})
+        lines = {name: source_lines(path, name) for name in own}
     stdlib = sorted(name for name in extra if name.split(".")[0] in sys.stdlib_module_names)
-    print(f"cold start  : {1e3 * min(walls):8.1f}ms  (min of {args.repeats}, `cauchon {' '.join(COLD_COMMAND[2:])}`)")
-    print(f"  beyond argparse and json it loads {len(own)} cauchon modules ({', '.join(own)})")
+    print(f"  beyond argparse and json the count loads {len(own)} cauchon modules ({', '.join(own)})")
     print(f"  and {len(stdlib)} standard-library modules ({', '.join(stdlib)})")
+    compiled = ", ".join(f"{name} {n}" for name, n in lines.items())
+    print(f"  it compiles {sum(lines.values())} lines of cauchon source ({compiled})")
 
 
 if __name__ == "__main__":

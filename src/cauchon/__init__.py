@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 #: submodule -> the public names it defines
 _EXPORTS = {
     "backend": ("active_backend",),
-    "census": ("CensusRecord", "run_census"),
+    "census": ("CensusRecord", "run_census", "run_censuses"),
     "checks": (
         "check_formula",
         "check_relation_eqc",

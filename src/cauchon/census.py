@@ -14,19 +14,23 @@ and the parity of the path that took it there. Diagrams that reach the same
 state have the same nullity whatever rows follow, so each state carries
 only a count of diagrams. The pass runs over rows of the shorter side, since
 a diagram and its transpose have the same nullity, in one process with
-exact integer counts.
+exact integer counts. The states after k rows are those of the k-row
+diagrams, so one sweep over a width serves every row count it reaches:
+``run_censuses`` runs one sweep per distinct width for a whole table.
 
 This module is all that ``count`` and ``table`` run, so it imports only
-``time``, ``math`` and ``functools``: each command starts a fresh
-interpreter, and start-up costs more than a small census. The closed
-formulas and identity checks live in ``cauchon.checks``.
+``time``, ``math``, ``functools`` and, for its annotations,
+``collections.abc``: each command starts a fresh interpreter, and start-up
+costs more than a small census. The closed formulas and identity checks
+live in ``cauchon.checks``.
 """
 
 import time
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import gcd
 
-__all__ = ["CensusRecord", "run_census"]
+__all__ = ["CensusRecord", "run_census", "run_censuses"]
 
 
 class CensusRecord:
@@ -127,14 +131,16 @@ def _wire_moves(width: int, row: int) -> tuple[tuple[int, int], ...]:
     return tuple(moves)
 
 
-def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
-    """The states the ``rows`` x ``width`` diagrams end in, each with its diagram count.
+def _sweep(width: int, rows: int) -> Iterator[dict[tuple[int, tuple[int, ...]], int]]:
+    """The states after 0, 1, ..., ``rows`` rows of width ``width``, each with its diagram count.
 
-    A state is (black-column mask, wires): wire w holds 2 * pi(w) + parity,
-    where pi is a permutation of the columns. The start is the full mask,
-    the identity and every parity odd.
+    Level k holds the states the k x ``width`` diagrams end in, so one sweep
+    serves every row count up to ``rows``. A state is (black-column mask,
+    wires): wire w holds 2 * pi(w) + parity, where pi is a permutation of the
+    columns. The start is the full mask, the identity and every parity odd.
     """
     states = {((1 << width) - 1, tuple(2 * w + 1 for w in range(width))): 1}
+    yield states
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
     for _ in range(rows):
         new: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -145,6 +151,13 @@ def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
                 key = (above & row, tuple([wires[src] ^ flip for src, flip in moves[row]]))
                 new[key] = new.get(key, 0) + count
         states = new
+        yield states
+
+
+def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The states the ``rows`` x ``width`` diagrams end in: the last level of a sweep."""
+    for states in _sweep(width, rows):
+        pass
     return states
 
 
@@ -177,32 +190,56 @@ def _even_cycles(wires: tuple[int, ...]) -> int:
     return count
 
 
-def _transfer_histogram(width: int, rows: int) -> dict[int, int]:
-    """Nullity histogram of the ``rows`` x ``width`` diagrams, from one transfer."""
+def _histogram(states: dict[tuple[int, tuple[int, ...]], int]) -> dict[int, int]:
+    """Nullity histogram of the diagrams that end in ``states``."""
     hist: dict[int, int] = {}
-    for (_, wires), count in _transfer(width, rows).items():
+    for (_, wires), count in states.items():
         nul = _even_cycles(wires)
         hist[nul] = hist.get(nul, 0) + count
     return dict(sorted(hist.items()))
 
 
-def run_census(m: int, n: int) -> CensusRecord:
-    """Classify all of C_{m,n} in one transfer pass, with the full nullity histogram.
+def run_censuses(shapes: Iterable[tuple[int, int]]) -> list[CensusRecord]:
+    """Classify all of C_{m,n} for each (m, n) of ``shapes``: one record per shape, in order.
 
     The nullity of a diagram's skew adjacency matrix is the number of even
     cycles of its toric permutation (Bell, Casteels and Launois 2012), and
-    that permutation is built row by row. The pass runs over rows of the
-    shorter side: a diagram and its transpose have the same nullity.
+    that permutation is built row by row. A diagram and its transpose have
+    the same nullity, so shape (m, n) is the level max(m, n) of the sweep of
+    width min(m, n): one sweep per distinct width, carried to the largest
+    row count asked of it, serves every shape of that width, transposes and
+    repeats included. A record's ``elapsed`` is the wall time of its width's
+    sweep up to its level.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"grid shape {m}x{n} is not valid")
-    start = time.perf_counter()
-    hist = _transfer_histogram(min(m, n), max(m, n))
-    return CensusRecord(
-        m=m,
-        n=n,
-        total=sum(hist.values()),
-        primitive=hist.get(0, 0),
-        nullity_histogram=hist,
-        elapsed=time.perf_counter() - start,
-    )
+    shapes = list(shapes)
+    for m, n in shapes:
+        if m < 1 or n < 0:
+            raise ValueError(f"grid shape {m}x{n} is not valid")
+    levels: dict[int, set[int]] = {}
+    for m, n in shapes:
+        levels.setdefault(min(m, n), set()).add(max(m, n))
+    found: dict[tuple[int, int], tuple[dict[int, int], float]] = {}
+    for width, wanted in levels.items():
+        start = time.perf_counter()
+        for rows, states in enumerate(_sweep(width, max(wanted))):
+            if rows in wanted:
+                found[width, rows] = (_histogram(states), time.perf_counter() - start)
+    records = []
+    for m, n in shapes:
+        hist, elapsed = found[min(m, n), max(m, n)]
+        records.append(
+            CensusRecord(
+                m=m,
+                n=n,
+                total=sum(hist.values()),
+                primitive=hist.get(0, 0),
+                nullity_histogram=dict(hist),
+                elapsed=elapsed,
+            )
+        )
+    return records
+
+
+def run_census(m: int, n: int) -> CensusRecord:
+    """Classify all of C_{m,n}, with the full nullity histogram: ``run_censuses`` of one shape."""
+    return run_censuses([(m, n)])[0]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping
 
-from .census import run_census
+from .census import run_census, run_censuses
 from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
 from .diagram import (
     CauchonDiagram,
@@ -121,16 +121,18 @@ def check_formula(formula_id: str, ns: Iterable[int]) -> CheckReport:
     Matches are exact integer equality. For conjectured formulas agreement
     means only "no counterexample in the tested range".
     """
+    ns = list(ns)
+    # raises for unknown ids and for the limit, which has no per-n value
+    formulas = [formula_value(formula_id, n=n) for n in ns]
+    if formula_id == C2_PRIME_TOTAL:
+        censused = [_count_no_black_column_by_enumeration(2, n) for n in ns]
+    elif formula_id == C2_TOTAL:
+        censused = [record.total for record in run_censuses([(2, n) for n in ns])]
+    else:
+        m = _FORMULA_ROWS[formula_id]
+        censused = [record.primitive for record in run_censuses([(m, n) for n in ns])]
     rows, failures = [], []
-    for n in ns:
-        # raises for unknown ids and for the limit, which has no per-n value
-        expected = formula_value(formula_id, n=n)
-        if formula_id == C2_TOTAL:
-            actual = run_census(2, n).total
-        elif formula_id == C2_PRIME_TOTAL:
-            actual = _count_no_black_column_by_enumeration(2, n)
-        else:
-            actual = run_census(_FORMULA_ROWS[formula_id], n).primitive
+    for n, expected, actual in zip(ns, formulas, censused):
         rows.append({"n": n, "formula": expected, "census": actual, "match": expected == actual})
         if expected != actual:
             failures.append(f"n={n}: formula={expected} census={actual}")

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -67,9 +68,48 @@ def test_census_transpose_symmetry():
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
 def test_transfer_widths_agree(m, n):
-    # run_census always takes the shorter side as the width; this also
+    # run_censuses always takes the shorter side as the width; this also
     # runs the longer one, which gives the same diagrams transposed
-    assert census._transfer_histogram(m, n) == census._transfer_histogram(n, m)
+    assert census._histogram(census._transfer(m, n)) == census._histogram(census._transfer(n, m))
+
+
+def test_run_censuses_sweeps_each_width_once(monkeypatch):
+    # every shape with m, n <= 6 (n = 0 included), shuffled, with repeats;
+    # each transpose is itself one of the shapes
+    shapes = [(m, n) for m in range(1, 7) for n in range(0, 7)]
+    rng = random.Random(15)
+    shapes += rng.sample(shapes, 10)
+    rng.shuffle(shapes)
+    expected = {shape: run_census(*shape) for shape in set(shapes)}
+    # a level read mid-sweep is the last level of a sweep that stops there
+    levels = {(min(shape), max(shape)) for shape in expected}
+    last = {level: census._histogram(census._transfer(*level)) for level in levels}
+    assert all(last[min(s), max(s)] == r.nullity_histogram for s, r in expected.items())
+    sweeps = []
+    sweep = census._sweep
+
+    def counted(width, rows):
+        sweeps.append((width, rows))
+        return sweep(width, rows)
+
+    monkeypatch.setattr(census, "_sweep", counted)
+    records = census.run_censuses(iter(shapes))
+    assert records == [expected[shape] for shape in shapes]
+    # one sweep per width, to the longest side it serves
+    assert sorted(sweeps) == [(width, 6) for width in range(7)]
+    assert len({id(record.nullity_histogram) for record in records}) == len(records)
+
+
+def test_run_censuses_edge_shapes():
+    assert census.run_censuses([]) == []
+    shapes = [(3, 0), (1, 0), (3, 0), (2, 2)]
+    assert census.run_censuses(shapes) == [run_census(m, n) for m, n in shapes]
+    for bad in [(0, 2), (2, -1), (0, 0)]:
+        with pytest.raises(ValueError) as single:
+            run_census(*bad)
+        with pytest.raises(ValueError) as batch:
+            census.run_censuses([(2, 2), bad, (3, 3)])
+        assert str(batch.value) == str(single.value) == f"grid shape {bad[0]}x{bad[1]} is not valid"
 
 
 def _stirling2(n: int, k: int) -> int:

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cauchon import backend, checks
+from cauchon import backend, checks, cli
 from cauchon.cli import main
+from conftest import GRID_4x6
 from test_package import run_child
 
 
@@ -13,6 +14,113 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr without its elapsed: lines) of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    err = [line for line in captured.err.splitlines() if not line.startswith("elapsed: ")]
+    return code, captured.out, err
+
+
+#: help, parse errors and one valid line of each command; GRID is a grid file
+PARSER_LINES = [
+    ["--help"],
+    ["count", "--help"],
+    ["check", "--help"],
+    ["check", "formula-2xn", "--help"],
+    [],
+    ["nonsense"],
+    ["--", "count", "--rows", "2", "--cols", "2"],
+    ["count", "--rows", "x", "--cols", "2"],
+    ["check"],
+    # options the command does not take, reported with the full parser's usage
+    ["count", "--rows", "2", "--cols", "2", "--bogus"],
+    ["check", "formula-2xn", "--workers", "2"],
+    ["count", "--rows", "2", "--cols", "3", "--histogram", "--format", "json", "--workers", "2"],
+    ["table", "--max-rows", "2", "--max-cols", "3", "--format", "csv"],
+    ["pfaffian", "--grid", "GRID", "--show-nullity", "--format", "json"],
+    ["check", "power-of-two", "--max-rows", "2", "--max-cols", "3", "--format", "csv"],
+    ["enumerate", "--rows", "2", "--cols", "2", "--format", "text"],
+    ["matchings", "--grid", "GRID", "--format", "text"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES)
+def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, argv):
+    # main builds the named command's parser alone; parsing with the full
+    # tree of build_parser() is the oracle for what it prints, exits with
+    # and runs
+    grid = tmp_path / "grid.txt"
+    grid.write_text(GRID_4x6)
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    lean = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert outcome(capsys, argv) == lean
+    if lean[0] == 0 and "--help" not in argv:
+        monkeypatch.undo()
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+#: under ``python -m cauchon.cli``: a usage, guardrail or grid error of each
+#: command, its exit code and the last line of stderr; GRID, BAD and MISSING
+#: are a non-Cauchon grid, a bad character and a missing file
+FRESH_ERRORS = [
+    (["count", "--rows", "0", "--cols", "1"], 2, "error: --rows must be >= 1 and --cols >= 0"),
+    (["count", "--rows", "6", "--cols", "6", "--histogram", "--format", "csv"], 2,
+     "error: --histogram needs --format text or json"),
+    (["count", "--rows", "6", "--cols", "6"], 3,
+     "error: 36 cells exceeds the guardrail of 30; raise it with --max-cells"),
+    (["count", "--rows", "x", "--cols", "2"], 2, "cauchon count: error: argument --rows: invalid int value: 'x'"),
+    (["table", "--max-rows", "0", "--max-cols", "3"], 2, "error: --max-rows and --max-cols must be >= 1"),
+    (["table", "--max-rows", "5", "--max-cols", "7"], 3,
+     "error: 35 cells exceeds the guardrail of 30; raise it with --max-cells"),
+    (["table", "--max-rows", "2", "--max-cols", "2", "--workers", "-3"], 2,
+     "cauchon table: error: argument --workers: must be >= 1, got -3"),
+    (["enumerate", "--rows", "0", "--cols", "1"], 2, "error: --rows must be >= 1 and --cols >= 0"),
+    (["enumerate", "--rows", "6", "--cols", "6"], 3,
+     "error: 36 cells exceeds the guardrail of 30; raise it with --max-cells"),
+    (["enumerate", "--rows", "2", "--cols", "3", "--max-cells", "0"], 2,
+     "cauchon enumerate: error: argument --max-cells: must be >= 1, got 0"),
+    (["check", "formula-2xn", "--max-n", "20", "--max-cells", "5"], 3,
+     "error: 40 cells exceeds the guardrail of 5; raise it with --max-cells"),
+    (["check", "relation-eqc", "--rows", "20"], 3,
+     "error: 160 cells exceeds the guardrail of 30; raise it with --max-cells"),
+    (["check", "formula-2xn", "--max-n", "0"], 2,
+     "cauchon check formula-2xn: error: argument --max-n: must be >= 1, got 0"),
+    (["check", "power-of-two", "--max-n", "5"], 2, "cauchon: error: unrecognized arguments: --max-n 5"),
+    (["pfaffian", "--grid", "BAD"], 4,
+     "error: bad character 'x' at cell (1, 1); expected '.' (white) or '#' (black)"),
+    (["pfaffian", "--grid", "MISSING"], 4, "error: cannot read grid MISSING: [Errno 2] No such file or directory: 'MISSING'"),
+    (["pfaffian"], 2, "cauchon pfaffian: error: the following arguments are required: --grid"),
+    (["matchings", "--grid", "GRID"], 4,
+     "error: cell (2, 2) is black but has a white square to its left in its row and a white square above it in its column"),
+    (["matchings", "--grid", "GRID", "--format", "json"], 2,
+     "cauchon matchings: error: argument --format: invalid choice: 'json' (choose from 'jsonl', 'text')"),
+]
+
+
+@pytest.mark.parametrize("argv,code,last", FRESH_ERRORS)
+def test_errors_keep_their_exit_codes_under_python_m(tmp_path, argv, code, last):
+    # under -m this module is __main__, and the exceptions main catches must
+    # be the ones every command raises: an import of cauchon.cli from the
+    # commands' module would make second copies that escape as exit 1
+    (tmp_path / "grid.txt").write_text("..\n.#\n")
+    (tmp_path / "bad.txt").write_text("x.\n")
+    paths = {
+        "GRID": str(tmp_path / "grid.txt"),
+        "BAD": str(tmp_path / "bad.txt"),
+        "MISSING": str(tmp_path / "missing.txt"),
+    }
+    done = run_child(["-m", "cauchon.cli", *(paths.get(arg, arg) for arg in argv)])
+    assert (done.returncode, done.stdout) == (code, ""), done.stderr
+    assert done.stderr.splitlines()[-1] == last.replace("MISSING", paths["MISSING"])
+    if last.startswith("error: "):
+        assert done.stderr == last.replace("MISSING", paths["MISSING"]) + "\n"
 
 
 def test_missing_required_flag_is_usage_error(capsys):
