@@ -19,13 +19,13 @@ diagrams, so one sweep over a width serves every row count it reaches:
 ``run_censuses`` runs one sweep per distinct width for a whole table.
 
 This module is all that ``count`` and ``table`` run, so it imports only
-``time``, ``math``, ``functools`` and, for its annotations,
-``collections.abc``: each command starts a fresh interpreter, and start-up
-costs more than a small census. The closed formulas and identity checks
+``math``, ``functools`` and ``collections``, which ``functools`` loads
+anyway: each command starts a fresh interpreter, and start-up costs more
+than a small census. The closed formulas and identity checks
 live in ``cauchon.checks``.
 """
 
-import time
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import gcd
@@ -33,43 +33,22 @@ from math import gcd
 __all__ = ["CensusRecord", "run_census", "run_censuses"]
 
 
-class CensusRecord:
-    """Aggregate counts for one grid shape.
+class CensusRecord(namedtuple("CensusRecord", "m n nullity_histogram")):
+    """Aggregate counts for one grid shape, all read off its nullity histogram.
 
-    ``nullity_histogram`` maps nullity to diagram count (histogram[0]
-    equals the primitive count). ``elapsed`` is wall time in seconds; it is
-    left out of equality and of data payloads.
+    ``nullity_histogram`` maps nullity to diagram count; nullity 0 means
+    primitive.
     """
 
-    __slots__ = ("m", "n", "total", "primitive", "nullity_histogram", "elapsed")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        total: int,
-        primitive: int,
-        nullity_histogram: dict[int, int],
-        elapsed: float = 0.0,
-    ):
-        self.m = m
-        self.n = n
-        self.total = total
-        self.primitive = primitive
-        self.nullity_histogram = nullity_histogram
-        self.elapsed = elapsed
+    @property
+    def total(self) -> int:
+        return sum(self.nullity_histogram.values())
 
-    def _key(self) -> tuple:
-        return (self.m, self.n, self.total, self.primitive, self.nullity_histogram)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CensusRecord({fields})"
+    @property
+    def primitive(self) -> int:
+        return self.nullity_histogram.get(0, 0)
 
     def proportion(self):
         """primitive / total as a reduced ``fractions.Fraction``."""
@@ -78,7 +57,7 @@ class CensusRecord:
         return Fraction(self.primitive, self.total)
 
     def to_payload(self) -> dict:
-        """Deterministic JSON-ready dict (no timing information)."""
+        """Deterministic JSON-ready dict."""
         hist = {str(k): self.nullity_histogram[k] for k in sorted(self.nullity_histogram)}
         common = gcd(self.primitive, self.total)
         return {
@@ -208,8 +187,7 @@ def run_censuses(shapes: Iterable[tuple[int, int]]) -> list[CensusRecord]:
     the same nullity, so shape (m, n) is the level max(m, n) of the sweep of
     width min(m, n): one sweep per distinct width, carried to the largest
     row count asked of it, serves every shape of that width, transposes and
-    repeats included. A record's ``elapsed`` is the wall time of its width's
-    sweep up to its level.
+    repeats included. Each record gets its own copy of its level's histogram.
     """
     shapes = list(shapes)
     for m, n in shapes:
@@ -218,26 +196,12 @@ def run_censuses(shapes: Iterable[tuple[int, int]]) -> list[CensusRecord]:
     levels: dict[int, set[int]] = {}
     for m, n in shapes:
         levels.setdefault(min(m, n), set()).add(max(m, n))
-    found: dict[tuple[int, int], tuple[dict[int, int], float]] = {}
+    found: dict[tuple[int, int], dict[int, int]] = {}
     for width, wanted in levels.items():
-        start = time.perf_counter()
         for rows, states in enumerate(_sweep(width, max(wanted))):
             if rows in wanted:
-                found[width, rows] = (_histogram(states), time.perf_counter() - start)
-    records = []
-    for m, n in shapes:
-        hist, elapsed = found[min(m, n), max(m, n)]
-        records.append(
-            CensusRecord(
-                m=m,
-                n=n,
-                total=sum(hist.values()),
-                primitive=hist.get(0, 0),
-                nullity_histogram=dict(hist),
-                elapsed=elapsed,
-            )
-        )
-    return records
+                found[width, rows] = _histogram(states)
+    return [CensusRecord(m, n, dict(found[min(m, n), max(m, n)])) for m, n in shapes]
 
 
 def run_census(m: int, n: int) -> CensusRecord:

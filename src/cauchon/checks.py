@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping
 
+from .backend import determinant
 from .census import run_census, run_censuses
 from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
 from .diagram import (
@@ -279,24 +280,16 @@ def fit_power_sum_coefficients(
     ns = sorted(values)
     if len(ns) < len(bases):
         raise ValueError(f"need at least {len(bases)} data points, got {len(ns)}")
-    solve_ns = ns[: len(bases)]
-    size = len(bases)
-    matrix = [
-        [Fraction(base**n) for base in bases] + [Fraction(values[n])]
-        for n in solve_ns
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if matrix[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("interpolation system is singular")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        pv = matrix[col][col]
-        for r in range(size):
-            if r != col and matrix[r][col] != 0:
-                f = matrix[r][col] / pv
-                for c in range(col, size + 1):
-                    matrix[r][c] -= f * matrix[col][c]
-    coeffs = {base: matrix[i][size] / matrix[i][i] for i, base in enumerate(bases)}
+    # Cramer's rule: c_j = det(M_j) / det(M) for M[i][j] = bases[j] ** ns[i],
+    # where M_j is M with column j replaced by the values
+    matrix = [[base**n for base in bases] for n in ns[: len(bases)]]
+    det = determinant(matrix)
+    if det == 0:
+        raise ValueError("interpolation system is singular")
+    coeffs = {}
+    for j, base in enumerate(bases):
+        m_j = [row[:j] + [values[n]] + row[j + 1 :] for n, row in zip(ns, matrix)]
+        coeffs[base] = Fraction(determinant(m_j), det)
     for n in ns[len(bases):]:
         if power_sum_value(coeffs, n) != values[n]:
             raise ValueError(f"power-sum fit fails cross-check at n={n}")

@@ -169,11 +169,6 @@ class CauchonDiagram:
         return format_grid(self)
 
 
-@lru_cache(maxsize=200_000)
-def _white_cols(n: int, mask: int) -> tuple[int, ...]:
-    return tuple(c for c in range(1, n + 1) if not mask >> (c - 1) & 1)
-
-
 def white_coordinates(row_masks: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Rows and columns of the white squares, in row-major order.
 
@@ -184,9 +179,10 @@ def white_coordinates(row_masks: Sequence[int], n: int) -> tuple[list[int], list
     rows: list[int] = []
     cols: list[int] = []
     for i, mask in enumerate(row_masks, start=1):
-        for col in _white_cols(n, mask):
-            rows.append(i)
-            cols.append(col)
+        for col in range(1, n + 1):
+            if not mask >> (col - 1) & 1:
+                rows.append(i)
+                cols.append(col)
     return rows, cols
 
 

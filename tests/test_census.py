@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from cauchon import backend, census, checks, matching
-from cauchon.census import run_census
+from cauchon.census import CensusRecord, run_census
 from cauchon.checks import (
     UnknownFormulaError,
     check_formula,
@@ -289,9 +289,8 @@ def test_proportion_examples():
     assert run_census(2, 0).proportion() == Fraction(1, 1)
 
 
-def test_census_record_equality_ignores_elapsed():
+def test_census_record_equality():
     first, second = run_census(3, 4), run_census(3, 4)
-    first.elapsed, second.elapsed = 1.0, 2.0
     assert first == second
     # the same histogram under the transposed shape is another record
     assert first != run_census(4, 3)
@@ -306,6 +305,11 @@ def test_payload_proportion_is_reduced(m, n):
         fraction.numerator,
         fraction.denominator,
     )
+    # the histogram alone gives the rest of the record
+    rebuilt = CensusRecord(m, n, dict(record.nullity_histogram))
+    assert rebuilt == record
+    assert (rebuilt.total, rebuilt.primitive) == (record.total, record.primitive)
+    assert rebuilt.to_payload() == payload
 
 
 # --- exploratory power-sum fit ------------------------------------------------------
@@ -340,6 +344,13 @@ def test_fit_rejects_inconsistent_data():
     values = {n: int(formula_value("P2_closed", n=n)) for n in range(1, 9)}
     values[8] += 1
     with pytest.raises(ValueError):
+        fit_power_sum_coefficients(2, values)
+
+
+def test_fit_rejects_singular_system():
+    # at even n only, the columns of the bases -1 and 1 are equal
+    values = {n: int(formula_value("P2_closed", n=n)) for n in (2, 4, 6, 8)}
+    with pytest.raises(ValueError, match="singular"):
         fit_power_sum_coefficients(2, values)
 
 
