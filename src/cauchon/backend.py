@@ -1,16 +1,21 @@
 """Exact condensation kernel for skew-symmetric integer matrices.
 
-The Pfaffian/rank kernel runs a fraction-free condensation: each step picks
-a nonzero pivot a[s][s+1] (after swaps), replaces the trailing block by
+The Pfaffian/rank kernel runs a fraction-free condensation with one pivot
+rule. At row s it takes the first nonzero entry a[s][j] right of the
+diagonal, swaps index j into place s+1 (each swap flips the sign), replaces
+the trailing block by
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
-and advances two rows. Every intermediate entry equals the Pfaffian of a
-principal submatrix of the (swapped) input, so the division by the previous
-pivot is exact and everything stays in integers. When the matrix has full
-rank the final pivot is the Pfaffian of the swapped input; row/column swaps
-each flip its sign. Python's unbounded integers make this kernel valid for
-any dimension.
+with p = a[s][s+1], and advances two rows. A row with no such entry
+vanishes on the trailing block, so it is a kernel vector: the kernel passes
+over it and advances one row. Dropping an index leaves a principal
+submatrix, so every intermediate entry is still the Pfaffian of a principal
+submatrix of the (swapped) input, the division by the previous pivot is
+exact and everything stays in integers. The nullity is d minus twice the
+pivots taken; when it is 0 the last pivot, times the sign, is the Pfaffian,
+and otherwise the Pfaffian is 0. Python's unbounded integers make this
+kernel valid for any dimension.
 """
 
 from __future__ import annotations
@@ -27,42 +32,23 @@ def active_backend() -> str:
 
 def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
     # returns (pfaffian, nullity); `a` is destroyed
-    if d == 0:
-        return 1, 0
     sign = 1
     prev = 1
-    pf_zero = d % 2 == 1
+    pairs = 0
     s = 0
-
-    def swap(x: int, y: int) -> None:
-        a[x], a[y] = a[y], a[x]
-        for row in a:
-            row[x], row[y] = row[y], row[x]
-
     while s < d - 1:
         row_s = a[s]
-        j0 = -1
-        for j in range(s + 1, d):
-            if row_s[j]:
-                j0 = j
+        for j0 in range(s + 1, d):
+            if row_s[j0]:
                 break
-        if j0 < 0:
-            # Pfaffian vanishes; keep condensing off-row pivots for the rank.
-            pf_zero = True
-            i0 = -1
-            for i in range(s + 1, d - 1):
-                for j in range(i + 1, d):
-                    if a[i][j]:
-                        i0, j0 = i, j
-                        break
-                if i0 >= 0:
-                    break
-            if i0 < 0:
-                break
-            swap(s, i0)
-            row_s = a[s]
+        else:
+            # row s vanishes on the trailing block: a kernel vector
+            s += 1
+            continue
         if j0 != s + 1:
-            swap(s + 1, j0)
+            a[s + 1], a[j0] = a[j0], a[s + 1]
+            for row in a:
+                row[s + 1], row[j0] = row[j0], row[s + 1]
             sign = -sign
         p = row_s[s + 1]
         row_t = a[s + 1]
@@ -75,9 +61,10 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
                 row_i[j] = v
                 a[j][i] = -v
         prev = p
+        pairs += 1
         s += 2
-    pf = 0 if pf_zero else sign * prev
-    return pf, d - s
+    nullity = d - 2 * pairs
+    return (0 if nullity else sign * prev), nullity
 
 
 def pfaffian_and_nullity(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -120,16 +107,14 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination.
 
     Bareiss updates keep every intermediate an honest minor of the
-    row-swapped input, so the divisions are exact. The empty matrix has
-    determinant 1.
+    row-swapped input, so the divisions are exact; the last pivot is the
+    determinant, and the empty matrix has determinant 1.
     """
     d = len(matrix)
-    if d == 0:
-        return 1
     a = [list(row) for row in matrix]
     sign = 1
     prev = 1
-    for k in range(d - 1):
+    for k in range(d):
         if a[k][k] == 0:
             for i in range(k + 1, d):
                 if a[i][k]:
@@ -146,4 +131,4 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
             for j in range(k + 1, d):
                 row_i[j] = (row_i[j] * p - aik * row_k[j]) // prev
         prev = p
-    return sign * a[d - 1][d - 1]
+    return sign * prev

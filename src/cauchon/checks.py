@@ -85,15 +85,17 @@ def formula_value(formula_id: str, n: int | None = None, m: int | None = None) -
     raise UnknownFormulaError(f"unknown formula id {formula_id!r}")
 
 
-def _count_no_black_column_by_enumeration(m: int, n: int) -> int:
-    count = 0
+def _count_by_enumeration(m: int, n: int) -> tuple[int, int]:
+    """|C_{m,n}| and the number with no black column, from one enumeration."""
+    total = no_black_column = 0
     for masks in _iter_row_masks(m, n):
+        total += 1
         acc = (1 << n) - 1
         for mask in masks:
             acc &= mask
         if acc == 0:
-            count += 1
-    return count
+            no_black_column += 1
+    return total, no_black_column
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def check_formula(formula_id: str, ns: Iterable[int]) -> CheckReport:
     # raises for unknown ids and for the limit, which has no per-n value
     formulas = [formula_value(formula_id, n=n) for n in ns]
     if formula_id == C2_PRIME_TOTAL:
-        censused = [_count_no_black_column_by_enumeration(2, n) for n in ns]
+        censused = [_count_by_enumeration(2, n)[1] for n in ns]
     elif formula_id == C2_TOTAL:
         censused = [record.total for record in run_censuses([(2, n) for n in ns])]
     else:
@@ -144,11 +146,11 @@ def check_relation_eqc(m: int, max_n: int) -> CheckReport:
     """Verify |C_{m,n}| = sum_i C(n,i) * |C'_{m,n-i}|, both sides enumerated."""
     if m < 1 or max_n < 0:
         raise ValueError(f"invalid range m={m}, max_n={max_n}")
-    no_black = [_count_no_black_column_by_enumeration(m, k) for k in range(max_n + 1)]
+    counts = [_count_by_enumeration(m, k) for k in range(max_n + 1)]
     rows, failures = [], []
     for n in range(max_n + 1):
-        lhs = sum(1 for _ in _iter_row_masks(m, n))
-        rhs = sum(comb(n, i) * no_black[n - i] for i in range(n + 1))
+        lhs = counts[n][0]
+        rhs = sum(comb(n, i) * counts[n - i][1] for i in range(n + 1))
         rows.append({"n": n, "total": lhs, "binomial_sum": rhs, "match": lhs == rhs})
         if lhs != rhs:
             failures.append(f"n={n}: total={lhs} binomial_sum={rhs}")

@@ -211,13 +211,13 @@ def parse_grid(text: str) -> CauchonDiagram:
     """Parse '.'/'#' grid text (rows separated by newlines) into a diagram.
 
     A single trailing newline is accepted. Raises NonRectangularError,
-    BadCharacterError or NotCauchonError with the offending row/cell.
+    BadCharacterError or NotCauchonError with the offending row/cell, and
+    GridError for text that holds no squares: m x 0 grid text is m - 1
+    newlines, so zero columns cannot round-trip and a grid needs n >= 1.
     """
     if text.endswith("\n"):
         text = text[:-1]
     lines = text.split("\n")
-    if not lines or lines == [""]:
-        raise GridError("empty grid text")
     n = len(lines[0])
     masks = []
     for i, line in enumerate(lines, start=1):
@@ -230,6 +230,8 @@ def parse_grid(text: str) -> CauchonDiagram:
             elif ch != WHITE_CHAR:
                 raise BadCharacterError(i, j, ch)
         masks.append(mask)
+    if n == 0:
+        raise GridError("grid text holds no squares")
     return CauchonDiagram(len(lines), n, tuple(masks))
 
 

@@ -152,3 +152,53 @@ def test_build_ext_inplace_builds_nothing(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert {path.suffix for path in (tmp_path / "src" / "cauchon").iterdir()} == {".py"}
+
+
+def low_rank_skew(rng, d, rank_pairs, bound=10**12):
+    """A random skew matrix of rank at most 2 * rank_pairs, entries at most ``bound``."""
+    a = [[0] * d for _ in range(d)]
+    scale = bound // (2 * 10**6 * max(rank_pairs, 1))
+    for _ in range(rank_pairs):
+        u = [rng.randint(-1000, 1000) for _ in range(d)]
+        v = [rng.randint(-1000, 1000) for _ in range(d)]
+        c = rng.randint(-scale, scale)
+        for i in range(d):
+            for j in range(i + 1, d):
+                w = c * (u[i] * v[j] - v[i] * u[j])
+                a[i][j] += w
+                a[j][i] -= w
+    return a
+
+
+def direct_sum(*blocks):
+    d = sum(len(block) for block in blocks)
+    a = [[0] * d for _ in range(d)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            a[at + i][at : at + len(row)] = row
+        at += len(block)
+    return a
+
+
+def test_kernel_passes_over_vanishing_rows_before_later_pivots():
+    # a row of the trailing block that vanishes is a kernel vector and is
+    # passed over before the later pivots: an index isolated inside a
+    # low-rank block, the third index of a 3-index block (rank 2) once its
+    # pivot pair is taken, or a row of a low-rank block past its rank
+    rng = random.Random(105)
+    for trial in range(300):
+        d = rng.randrange(3, 10)
+        pairs = rng.randrange(0, d // 2 + 1)
+        if trial % 3 == 0:
+            a = low_rank_skew(rng, d, pairs)
+            k = rng.randrange(d - 1)
+            for i in range(d):
+                a[k][i] = a[i][k] = 0
+        elif trial % 3 == 1:
+            a = direct_sum(low_rank_skew(rng, 3, 1), low_rank_skew(rng, d - 3, pairs))
+        else:
+            a = low_rank_skew(rng, d, pairs)
+        assert max(abs(v) for row in a for v in row) <= 10**12
+        pf, nul = backend.pfaffian_and_nullity(a)
+        assert (pf, nul) == (reference_pfaffian(a), d - reference_rank(a)), a

@@ -280,6 +280,73 @@ def test_check_lemma_decomposition_compares_with_condensation(monkeypatch):
     assert all(f.endswith("vertical sums do not add to Pf") for f in report.failures)
 
 
+#: each check with its compared side patched so that the identity fails: the
+#: name patched in ``checks``, its replacement given the real one, the check,
+#: its exact failures, and the column that reports them with its values
+FAILING_CHECKS = {
+    "formula": (
+        "run_censuses",
+        lambda real: lambda shapes: [
+            r._replace(nullity_histogram={0: r.primitive + 1}) for r in real(shapes)
+        ],
+        lambda: check_formula(checks.P2_CLOSED, [1, 2]),
+        ["n=1: formula=2 census=3", "n=2: formula=5 census=6"],
+        ("match", [False, False]),
+    ),
+    "relation-eqc": (
+        "_count_by_enumeration",
+        lambda real: lambda m, n: (real(m, n)[0] + 1, real(m, n)[1]),
+        lambda: check_relation_eqc(2, 1),
+        ["n=0: total=2 binomial_sum=1", "n=1: total=5 binomial_sum=4"],
+        ("match", [False, False]),
+    ),
+    "power-of-two": (
+        "pfaffian",
+        lambda real: lambda diagram: 3,
+        lambda: scan_power_of_two(1, 1),
+        ["1x1 pfaffian=3\n.", "1x1 pfaffian=3\n#"],
+        ("violations", [2]),
+    ),
+    "criterion-2xn": (
+        "primitive_2xn_fast",
+        lambda real: lambda diagram: not real(diagram),
+        lambda: checks.check_criterion_2xn(1),
+        [".\n.", ".\n#", "#\n.", "#\n#"],
+        ("mismatches", [4]),
+    ),
+    "lemma-decomposition": (
+        "_vert_closed_form",
+        lambda real: lambda *args: real(*args) + 1,
+        lambda: checks.check_lemma_decomposition(1),
+        [
+            ".\n. T=[] brute=0 closed=1",
+            ".\n. T=[1] brute=1 closed=2",
+            ".\n# T=[] brute=0 closed=1",
+            "#\n. T=[] brute=0 closed=1",
+        ],
+        ("mismatches", [4]),
+    ),
+}
+
+
+@pytest.mark.parametrize("subject", FAILING_CHECKS)
+def test_checks_report_a_failing_identity(monkeypatch, subject):
+    name, replacement, run, failures, (column, values) = FAILING_CHECKS[subject]
+    monkeypatch.setattr(checks, name, replacement(getattr(checks, name)))
+    report = run()
+    assert not report.ok
+    assert report.failures == failures
+    assert [row[column] for row in report.rows] == values
+
+
+def test_failing_check_exits_1_with_its_messages(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "pfaffian", lambda diagram: 3)
+    code = cli_main(["check", "power-of-two", "--max-rows", "1", "--max-cols", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == "checked=2  violations=2\nFAIL\n1x1 pfaffian=3\n.\n1x1 pfaffian=3\n#\n"
+
+
 # --- proportions ------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchon import backend, checks, cli
+from cauchon import backend, census, checks, cli
 from cauchon.cli import main
 from conftest import GRID_4x6
 from test_package import run_child
@@ -67,8 +67,9 @@ def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, argv)
 
 
 #: under ``python -m cauchon.cli``: a usage, guardrail or grid error of each
-#: command, its exit code and the last line of stderr; GRID, BAD and MISSING
-#: are a non-Cauchon grid, a bad character and a missing file
+#: command, its exit code and the last line of stderr; GRID, BAD, EMPTY and
+#: MISSING are a non-Cauchon grid, a bad character, a 3x0 grid's text and a
+#: missing file
 FRESH_ERRORS = [
     (["count", "--rows", "0", "--cols", "1"], 2, "error: --rows must be >= 1 and --cols >= 0"),
     (["count", "--rows", "6", "--cols", "6", "--histogram", "--format", "csv"], 2,
@@ -101,6 +102,8 @@ FRESH_ERRORS = [
      "error: cell (2, 2) is black but has a white square to its left in its row and a white square above it in its column"),
     (["matchings", "--grid", "GRID", "--format", "json"], 2,
      "cauchon matchings: error: argument --format: invalid choice: 'json' (choose from 'jsonl', 'text')"),
+    (["pfaffian", "--grid", "EMPTY"], 4, "error: grid text holds no squares"),
+    (["matchings", "--grid", "EMPTY"], 4, "error: grid text holds no squares"),
 ]
 
 
@@ -111,9 +114,12 @@ def test_errors_keep_their_exit_codes_under_python_m(tmp_path, argv, code, last)
     # commands' module would make second copies that escape as exit 1
     (tmp_path / "grid.txt").write_text("..\n.#\n")
     (tmp_path / "bad.txt").write_text("x.\n")
+    # a 3x0 grid as format_grid writes it, with a trailing newline
+    (tmp_path / "empty.txt").write_text("\n\n\n")
     paths = {
         "GRID": str(tmp_path / "grid.txt"),
         "BAD": str(tmp_path / "bad.txt"),
+        "EMPTY": str(tmp_path / "empty.txt"),
         "MISSING": str(tmp_path / "missing.txt"),
     }
     done = run_child(["-m", "cauchon.cli", *(paths.get(arg, arg) for arg in argv)])
@@ -189,6 +195,15 @@ def test_count_json_without_histogram(capsys):
     code, out, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "2", "--format", "json")
     payload = json.loads(out)
     assert "nullity_histogram" not in payload
+
+
+def test_count_text_histogram(capsys):
+    code, out, _ = run_cli(capsys, "count", "--rows", "2", "--cols", "2", "--histogram")
+    assert code == 0
+    assert out == (
+        "m: 2\nn: 2\ntotal: 14\nprimitive: 5\nproportion: 5/14\n"
+        "nullity histogram:\n  0: 5\n  1: 7\n  2: 2\n"
+    )
 
 
 def test_count_bad_rows(capsys):
@@ -270,6 +285,14 @@ def test_max_cells_below_one_is_usage_error(argv, max_cells):
     assert err.value.code == 2
 
 
+def test_max_cells_not_an_integer_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--rows", "2", "--cols", "2", "--max-cells", "x"])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "cauchon count: error: argument --max-cells: invalid integer 'x'"
+
+
 # --- table --------------------------------------------------------------------------
 
 
@@ -286,6 +309,20 @@ def test_table_csv(capsys):
         by_cell[(int(parts[0]), int(parts[1]))] = int(parts[3])
     assert [by_cell[(3, n)] for n in range(1, 6)] == [4, 17, 70, 329, 1414]
     assert [by_cell[(1, n)] for n in range(1, 5)] == [1, 2, 4, 8]
+
+
+def test_table_json_is_the_census_payloads(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--max-rows", "3", "--max-cols", "4", "--format", "json"
+    )
+    assert code == 0
+    expected = []
+    for m in range(1, 4):
+        for n in range(1, 5):
+            payload = census.run_census(m, n).to_payload()
+            payload.pop("nullity_histogram")
+            expected.append(payload)
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_table_text(capsys):

@@ -125,6 +125,17 @@ def test_parse_empty_text():
         parse_grid("")
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zero_column_grid_text_holds_no_squares(m):
+    # m x 0 grid text is m - 1 newlines, which cannot round-trip: 3x0 would
+    # read back as 2x0, so any text without squares is refused
+    text = format_grid(CauchonDiagram.all_white(m, 0))
+    assert text == "\n" * (m - 1)
+    for candidate in (text, text + "\n"):
+        with pytest.raises(GridError, match="^grid text holds no squares$"):
+            parse_grid(candidate)
+
+
 def test_parse_accepts_trailing_newline():
     assert parse_grid("..\n..\n") == parse_grid("..\n..")
 

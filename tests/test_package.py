@@ -129,3 +129,12 @@ print(json.dumps([listed, imported, before, value is home]))
     done = run_child(["-c", child])
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], False, False, True]
+
+
+def test_layer_benchmark_runs():
+    # the per-layer benchmark imports private names of census, diagram and
+    # backend, and nothing else runs it; a rename must fail here
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backends.py"
+    done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
+    assert done.returncode == 0, done.stderr
+    assert "0 mismatches against the kernel" in done.stdout
