@@ -1,9 +1,13 @@
 """Exact condensation kernel for skew-symmetric integer matrices.
 
 The Pfaffian/rank kernel runs a fraction-free condensation with one pivot
-rule. At row s it takes the first nonzero entry a[s][j] right of the
-diagonal, swaps index j into place s+1 (each swap flips the sign), replaces
-the trailing block by
+rule, reading and writing only entries right of the diagonal: the lower
+triangle is never read, so its values do not matter. At row s it takes
+the first nonzero entry a[s][j] right of the diagonal, swaps index j into
+place s+1 (each swap flips the sign; the entries between the two indices
+cross the diagonal, so the swap moves them negated, and rows before s are
+finished and never read again), replaces the trailing block's upper
+triangle, j > i, by
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
@@ -45,21 +49,29 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
             # row s vanishes on the trailing block: a kernel vector
             s += 1
             continue
-        if j0 != s + 1:
-            a[s + 1], a[j0] = a[j0], a[s + 1]
-            for row in a:
-                row[s + 1], row[j0] = row[j0], row[s + 1]
+        t = s + 1
+        if j0 != t:
+            # swap indices t and j0 on the upper triangle: the tails right
+            # of j0 trade places with the row lists, entries between the two
+            # cross the diagonal and change sign
+            row_t, row_j = a[j0], a[t]
+            a[t], a[j0] = row_t, row_j
+            row_s[t], row_s[j0] = row_s[j0], row_s[t]
+            for k in range(t + 1, j0):
+                row_k = a[k]
+                row_t[k] = -row_k[j0]
+                row_k[j0] = -row_j[k]
+            row_t[j0] = -row_j[j0]
             sign = -sign
-        p = row_s[s + 1]
-        row_t = a[s + 1]
+        else:
+            row_t = a[t]
+        p = row_s[t]
         for i in range(s + 2, d):
             asi = row_s[i]
             ati = row_t[i]
             row_i = a[i]
             for j in range(i + 1, d):
-                v = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
-                row_i[j] = v
-                a[j][i] = -v
+                row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
         prev = p
         pairs += 1
         s += 2
@@ -70,8 +82,8 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
 def pfaffian_and_nullity(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Exact Pfaffian and nullity of a skew-symmetric integer matrix.
 
-    The empty matrix has Pfaffian 1 and nullity 0; odd dimensions have
-    Pfaffian 0.
+    Only the entries above the diagonal are read. The empty matrix has
+    Pfaffian 1 and nullity 0; odd dimensions have Pfaffian 0.
     """
     d = len(matrix)
     a = [list(row) for row in matrix]

@@ -135,6 +135,14 @@ def _count_cells(args: argparse.Namespace) -> int:
     return cells
 
 
+def _enumerate_cells(args: argparse.Namespace) -> int:
+    cells = _shape_cells(args)
+    if args.cols == 0 and args.format == "text":
+        # a grid without columns is blank lines, which read as record separators
+        raise UsageError("--cols 0 needs --format jsonl")
+    return cells
+
+
 def _table_cells(args: argparse.Namespace) -> int:
     if args.max_rows < 1 or args.max_cols < 1:
         raise UsageError("--max-rows and --max-cols must be >= 1")
@@ -204,7 +212,7 @@ _COMMANDS = {
         lambda a: _CHECK_SIZES[a.subject][1](a),
         None,
     ),
-    "enumerate": ("stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _shape_cells, None),
+    "enumerate": ("stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _enumerate_cells, None),
     "matchings": ("stream the perfect matchings of one grid", [_GRID, _STREAM_FORMAT], None, None),
 }
 

@@ -335,11 +335,15 @@ def strip_black_columns(diagram: CauchonDiagram) -> CauchonDiagram:
 
 
 def transpose(diagram: CauchonDiagram) -> CauchonDiagram:
-    """Reflect along the main diagonal; always a valid diagram.
+    """Reflect along the main diagonal.
 
     Transposition swaps the two clauses of the diagram condition, so the
-    image of a diagram is again a diagram.
+    image of a diagram with at least one column is again a diagram. An m x 0
+    diagram raises ValueError: its transpose would have no rows, and a
+    diagram needs one.
     """
+    if diagram.cols == 0:
+        raise ValueError(f"a {diagram.rows}x0 diagram has no columns, so it has no transpose")
     masks = []
     for col in range(1, diagram.cols + 1):
         mask = 0

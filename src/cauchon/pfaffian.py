@@ -15,9 +15,9 @@ dimension", J. Combin. Theory Ser. A 119, 2012), the nullity is the number
 of even cycles of the diagram's toric permutation; ``nullity`` folds the
 diagram's rows into that permutation with the census's own transfer step,
 so census and single queries share one nullity. The integer condensation
-kernel in ``backend`` serves only ``pfaffian``, ``classify``,
-``determinant`` and the oracles. All arithmetic is exact, never floating
-point.
+kernel in ``backend`` serves only ``pfaffian``, ``classify`` and the
+oracles; ``determinant`` is ``backend``'s Bareiss elimination, which shares
+no code with it. All arithmetic is exact, never floating point.
 """
 
 from __future__ import annotations

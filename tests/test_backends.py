@@ -202,3 +202,29 @@ def test_kernel_passes_over_vanishing_rows_before_later_pivots():
         assert max(abs(v) for row in a for v in row) <= 10**12
         pf, nul = backend.pfaffian_and_nullity(a)
         assert (pf, nul) == (reference_pfaffian(a), d - reference_rank(a)), a
+
+
+def test_kernel_reads_only_the_upper_triangle():
+    # junk below the diagonal must not change the result: the kernel reads
+    # and writes only entries right of it, also where a swap carries an
+    # entry across the diagonal (shuffled indices make such swaps common)
+    rng = random.Random(106)
+    for trial in range(500):
+        d = rng.randrange(2, 11)
+        if trial % 2:
+            a = low_rank_skew(rng, d, rng.randrange(0, d // 2 + 1))
+        else:
+            a = random_skew(rng, d)
+            for i in range(d):
+                for j in range(i + 1, d):
+                    if rng.random() < 0.5:
+                        a[i][j] = a[j][i] = 0
+        perm = list(range(d))
+        rng.shuffle(perm)
+        a = [[a[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+        junk = [
+            [rng.randint(-99, 99) if j <= i else a[i][j] for j in range(d)]
+            for i in range(d)
+        ]
+        expected = (reference_pfaffian(a), d - reference_rank(a))
+        assert backend.pfaffian_and_nullity(junk) == expected, a

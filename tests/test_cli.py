@@ -104,6 +104,7 @@ FRESH_ERRORS = [
      "cauchon matchings: error: argument --format: invalid choice: 'json' (choose from 'jsonl', 'text')"),
     (["pfaffian", "--grid", "EMPTY"], 4, "error: grid text holds no squares"),
     (["matchings", "--grid", "EMPTY"], 4, "error: grid text holds no squares"),
+    (["enumerate", "--rows", "2", "--cols", "0", "--format", "text"], 2, "error: --cols 0 needs --format jsonl"),
 ]
 
 

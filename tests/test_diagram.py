@@ -324,6 +324,11 @@ def test_transpose_examples():
     assert (flipped.rows, flipped.cols) == (6, 4)
 
 
+def test_transpose_of_a_diagram_without_columns_is_refused():
+    with pytest.raises(ValueError, match="3x0 diagram has no columns, so it has no transpose"):
+        transpose(CauchonDiagram.all_white(3, 0))
+
+
 def test_transpose_is_involutive_bijection(small_diagrams):
     for (m, n), diagrams in small_diagrams.items():
         images = [transpose(d) for d in diagrams]

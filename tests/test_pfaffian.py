@@ -232,3 +232,12 @@ def test_pfaffian_label_independence():
     diagram = parse_grid(GRID_4x6)
     gapped = tuple(5 * k + 2 for k in range(diagram.white_count))
     assert relabeled_matching_sum(diagram, gapped) == pfaffian(diagram)
+
+
+def test_determinant_is_pfaffian_squared_at_large_sizes():
+    # query-large's shapes; the Bareiss determinant shares no code with the
+    # condensation kernel, and the all-white diagrams reach d = 64
+    large = random_diagrams(LARGE_SHAPES[:3], 300, seed=20261019)
+    large += [CauchonDiagram.all_white(m, n) for m, n in LARGE_SHAPES[:3]]
+    for diagram in large:
+        assert determinant(diagram) == pfaffian(diagram) ** 2, str(diagram)
