@@ -7,7 +7,9 @@ the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
 the kernel's nullity. Then it times the public census, best of
 ``--repeats`` like the layers above, which runs no kernel: one transfer
-pass over row states. Last, it times
+pass over row states, and the bytes each state of the shape's last level
+takes under ``tracemalloc``: the peak of the sweep, which holds two levels
+at once, and what the last level holds. Last, it times
 ``cauchon count --rows 5 --cols 4 --histogram --format json`` and
 ``cauchon table --max-rows 4 --max-cols 5 --format csv`` in fresh
 interpreters, on a copy of the package without ``.pyc`` files and writing
@@ -16,6 +18,11 @@ loads beyond ``argparse`` and ``json``, and the lines of ``cauchon`` source
 it compiles. Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
+
+``--transfer-only`` prints the transfer's states and bytes alone, for
+shapes too large to classify one diagram at a time:
+
+    PYTHONPATH=src python benchmarks/bench_backends.py --rows 6 --cols 12 --transfer-only
 """
 
 import argparse
@@ -25,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import cauchon
@@ -44,6 +52,21 @@ def best_pass(fn, workload, repeats: int) -> float:
             fn(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
+
+
+def transfer_bytes(width: int, rows: int) -> tuple[int, float, float]:
+    """States of the ``rows`` x ``width`` transfer, and its traced peak and held bytes per state.
+
+    The width's step tables are built before tracing starts, so both figures
+    count the levels alone: the peak holds the level being built and the one
+    before it, the held bytes the last level.
+    """
+    census._steps(width)
+    tracemalloc.start()
+    states = census._transfer(width, rows)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return len(states), peak / len(states), held / len(states)
 
 
 def run_cold(args: list[str], path: str) -> subprocess.CompletedProcess:
@@ -71,8 +94,25 @@ def main() -> None:
     parser.add_argument("--rows", type=int, default=4)
     parser.add_argument("--cols", type=int, default=4)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--transfer-only", action="store_true")
     args = parser.parse_args()
+    width, rows = min(args.rows, args.cols), max(args.rows, args.cols)
+    if not args.transfer_only:
+        classify(args)
 
+    states, peak, held = transfer_bytes(width, rows)
+    perms = census._steps(width)[0]
+    print(
+        f"transfer    : {states} states at level {rows} of width {width}, "
+        f"{peak:.0f} B/state peak, {held:.0f} B/state held (tracemalloc; step tables "
+        f"built first: {len(perms) << width} permutation and {1 << 2 * width} parity entries)"
+    )
+    if not args.transfer_only:
+        cold_start(args)
+
+
+def classify(args: argparse.Namespace) -> None:
+    """Time the kernel, the cycle nullity and the census on every diagram of the shape."""
     diagrams = list(_iter_row_masks(args.rows, args.cols))
     workload = [white_coordinates(masks, args.cols) for masks in diagrams]
     count = len(workload)
@@ -96,12 +136,14 @@ def main() -> None:
 
     record = census.run_census(args.rows, args.cols)
     census_time = best_pass(census.run_census, [(args.rows, args.cols)], args.repeats)
-    states = len(census._transfer(min(args.rows, args.cols), max(args.rows, args.cols)))
     print(
-        f"census      : total={record.total} final transfer states={states} "
-        f"primitive={record.primitive} in {census_time:.3f}s (best of {args.repeats})"
+        f"census      : total={record.total} primitive={record.primitive} "
+        f"in {census_time:.3f}s (best of {args.repeats})"
     )
 
+
+def cold_start(args: argparse.Namespace) -> None:
+    """Time the count and table commands in fresh interpreters; list what the count loads and compiles."""
     with tempfile.TemporaryDirectory() as path:
         package = Path(cauchon.__file__).resolve().parent
         shutil.copytree(package, Path(path) / "cauchon", ignore=shutil.ignore_patterns("__pycache__"))

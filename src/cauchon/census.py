@@ -10,24 +10,26 @@ squares elbows (Postnikov, arXiv math/0609764). The permutation is built
 one row at a time, so a transfer pass over row states replaces the
 enumeration. A state holds the mask of columns black so far, which decides
 the rows that may follow, and for each column wire the label it has reached
-and the parity of the path that took it there. Diagrams that reach the same
-state have the same nullity whatever rows follow, so each state carries
-only a count of diagrams. The pass runs over rows of the shorter side, since
-a diagram and its transpose have the same nullity, in one process with
-exact integer counts. The states after k rows are those of the k-row
-diagrams, so one sweep over a width serves every row count it reaches:
-``run_censuses`` runs one sweep per distinct width for a whole table.
+and the parity of the path that took it there, all packed into one int
+(see ``_sweep``). Diagrams that reach the same state have the same nullity
+whatever rows follow, so each state carries only a count of diagrams. The
+pass runs over rows of the shorter side, since a diagram and its transpose
+have the same nullity, in one process with exact integer counts. The states
+after k rows are those of the k-row diagrams, so one sweep over a width
+serves every row count it reaches: ``run_censuses`` runs one sweep per
+distinct width for a whole table.
 
 This module is all that ``count`` and ``table`` run, so it imports only
-``math``, ``functools`` and ``collections``, which ``functools`` loads
-anyway: each command starts a fresh interpreter, and start-up costs more
-than a small census. The closed formulas and identity checks
-live in ``cauchon.checks``.
+``math``, ``functools``, ``collections`` and ``itertools``, which
+``functools`` loads anyway: each command starts a fresh interpreter, and
+start-up costs more than a small census. The closed formulas and identity
+checks live in ``cauchon.checks``.
 """
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 
 __all__ = ["CensusRecord", "run_census", "run_censuses"]
@@ -110,34 +112,73 @@ def _wire_moves(width: int, row: int) -> tuple[tuple[int, int], ...]:
     return tuple(moves)
 
 
-def _sweep(width: int, rows: int) -> Iterator[dict[tuple[int, tuple[int, ...]], int]]:
+@lru_cache(maxsize=None)
+def _steps(width: int) -> tuple[list[tuple[int, ...]], list[list[tuple[list[int], list[int], int]]]]:
+    """The permutations of the columns in rank order, and each mask's packed row steps.
+
+    ``steps[mask]`` holds (ranks, parities, mask & row) for each row that may
+    follow ``mask``: ``ranks`` maps a permutation's rank to the rank after
+    the row, shifted to bit 2w, and ``parities`` the parity bits to theirs
+    after it, shifted to bit w. Both are read off ``_wire_moves``.
+    """
+    perms = list(permutations(range(width)))
+    rank = dict(zip(perms, [r << 2 * width for r in range(len(perms))]))
+    columns = list(zip(*perms))
+    tables = []
+    for row in range(1 << width):
+        moves = _wire_moves(width, row)
+        sources = [src for src, _ in moves]
+        # wire j takes wire sources[j], in every permutation at once; width 0
+        # has no columns to zip, and its one permutation has rank 0
+        ranks = list(map(rank.__getitem__, zip(*[columns[src] for src in sources]))) if width else [0]
+        # parity bit sources[j] moves to bit j, then the flip: built by doubling
+        parities = [sum(flip << j for j, (_, flip) in enumerate(moves))]
+        for src in range(width):
+            bit = 1 << sources.index(src)
+            parities += [p ^ bit for p in parities]
+        tables.append((ranks, [p << width for p in parities]))
+    return perms, [[(*tables[row], mask & row) for row in _row_candidates(width, mask)] for mask in range(1 << width)]
+
+
+def _sweep(width: int, rows: int) -> Iterator[dict[int, int]]:
     """The states after 0, 1, ..., ``rows`` rows of width ``width``, each with its diagram count.
 
     Level k holds the states the k x ``width`` diagrams end in, so one sweep
-    serves every row count up to ``rows``. A state is (black-column mask,
-    wires): wire w holds 2 * pi(w) + parity, where pi is a permutation of the
-    columns. The start is the full mask, the identity and every parity odd.
+    serves every row count up to ``rows``. A state is one int: the
+    black-column mask in bits 0..w-1, the wire parities in bits w..2w-1 and
+    above them the rank of the wire permutation pi. Wire j holds column
+    pi(j) with its parity, as ``_diagram_wires`` spells out. The start is the
+    full mask, every parity odd and the identity, which has rank 0.
     """
-    states = {((1 << width) - 1, tuple(2 * w + 1 for w in range(width))): 1}
+    full = (1 << width) - 1
+    states = {full << width | full: 1}
     yield states
-    moves: dict[int, tuple[tuple[int, int], ...]] = {}
+    steps = _steps(width)[1]
+    shift = 2 * width
     for _ in range(rows):
-        new: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (above, wires), count in states.items():
-            for row in _row_candidates(width, above):
-                if row not in moves:
-                    moves[row] = _wire_moves(width, row)
-                key = (above & row, tuple([wires[src] ^ flip for src, flip in moves[row]]))
-                new[key] = new.get(key, 0) + count
+        new: dict[int, int] = {}
+        get = new.get
+        for state, count in states.items():
+            perm = state >> shift
+            par = state >> width & full
+            for ranks, parities, low in steps[state & full]:
+                key = ranks[perm] | parities[par] | low
+                new[key] = get(key, 0) + count
         states = new
         yield states
 
 
-def _transfer(width: int, rows: int) -> dict[tuple[int, tuple[int, ...]], int]:
+def _transfer(width: int, rows: int) -> dict[int, int]:
     """The states the ``rows`` x ``width`` diagrams end in: the last level of a sweep."""
     for states in _sweep(width, rows):
         pass
     return states
+
+
+def _state_wires(width: int, state: int) -> tuple[int, ...]:
+    """The wires of a packed state: wire j holds 2 * pi(j) + its parity."""
+    perm = _steps(width)[0][state >> 2 * width]
+    return tuple([2 * p + (state >> width + j & 1) for j, p in enumerate(perm)])
 
 
 def _diagram_wires(width: int, rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,11 +210,21 @@ def _even_cycles(wires: tuple[int, ...]) -> int:
     return count
 
 
-def _histogram(states: dict[tuple[int, tuple[int, ...]], int]) -> dict[int, int]:
-    """Nullity histogram of the diagrams that end in ``states``."""
+def _histogram(width: int, states: dict[int, int], nullities: dict[int, int] | None = None) -> dict[int, int]:
+    """Nullity histogram of the diagrams that end in the packed ``states`` of width ``width``.
+
+    The mask plays no part in the nullity, so each state is decoded with it
+    cleared, once: ``nullities`` keeps what is decoded, for the levels of
+    one sweep to share.
+    """
+    nullities = {} if nullities is None else nullities
+    clear = ~((1 << width) - 1)
     hist: dict[int, int] = {}
-    for (_, wires), count in states.items():
-        nul = _even_cycles(wires)
+    for state, count in states.items():
+        key = state & clear
+        nul = nullities.get(key)
+        if nul is None:
+            nul = nullities[key] = _even_cycles(_state_wires(width, key))
         hist[nul] = hist.get(nul, 0) + count
     return dict(sorted(hist.items()))
 
@@ -198,9 +249,10 @@ def run_censuses(shapes: Iterable[tuple[int, int]]) -> list[CensusRecord]:
         levels.setdefault(min(m, n), set()).add(max(m, n))
     found: dict[tuple[int, int], dict[int, int]] = {}
     for width, wanted in levels.items():
+        nullities: dict[int, int] = {}
         for rows, states in enumerate(_sweep(width, max(wanted))):
             if rows in wanted:
-                found[width, rows] = _histogram(states)
+                found[width, rows] = _histogram(width, states, nullities)
     return [CensusRecord(m, n, dict(found[min(m, n), max(m, n)])) for m, n in shapes]
 
 

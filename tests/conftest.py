@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cauchon import CauchonDiagram, enumerate_diagrams, enumerate_matchings, matching_sign
-from cauchon.census import _row_candidates
+from cauchon.census import _row_candidates, _state_wires
 
 # A well-formed 4x6 grid with 14 white squares; black cells exercise both
 # clauses of the diagram condition.
@@ -60,6 +60,18 @@ def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
             above &= row
         out.append(CauchonDiagram(m, n, tuple(masks)))
     return out
+
+
+def decode_states(width: int, states: dict[int, int]) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Packed transfer states of width ``width`` as (black-column mask, wires) keys, counts kept.
+
+    The wires are those ``census._diagram_wires`` gives a diagram: wire j
+    holds 2 * pi(j) + its parity. Two packed states never decode to one key.
+    """
+    full = (1 << width) - 1
+    decoded = {(state & full, _state_wires(width, state)): count for state, count in states.items()}
+    assert len(decoded) == len(states), "two packed states decode to one key"
+    return decoded
 
 
 def relabeled_matching_sum(diagram: CauchonDiagram, labels) -> int:

@@ -20,6 +20,7 @@ from cauchon.checks import (
 )
 from cauchon.cli import main as cli_main
 from cauchon.diagram import _iter_row_masks, count_diagrams, white_coordinates
+from conftest import decode_states
 
 
 def test_census_2x2():
@@ -70,7 +71,36 @@ def test_census_transpose_symmetry():
 def test_transfer_widths_agree(m, n):
     # run_censuses always takes the shorter side as the width; this also
     # runs the longer one, which gives the same diagrams transposed
-    assert census._histogram(census._transfer(m, n)) == census._histogram(census._transfer(n, m))
+    assert census._histogram(m, census._transfer(m, n)) == census._histogram(n, census._transfer(n, m))
+
+
+def _tuple_sweep(width, rows):
+    """Oracle: the transfer with each state spelled out as (black-column mask, wires).
+
+    Wire j holds 2 * pi(j) + its parity, and each row moves the wires by
+    ``census._wire_moves``; the same levels as ``census._sweep``, unpacked.
+    """
+    states = {((1 << width) - 1, tuple(2 * w + 1 for w in range(width))): 1}
+    yield states
+    for _ in range(rows):
+        new = {}
+        for (above, wires), count in states.items():
+            for row in census._row_candidates(width, above):
+                key = (above & row, tuple(wires[src] ^ flip for src, flip in census._wire_moves(width, row)))
+                new[key] = new.get(key, 0) + count
+        states = new
+        yield states
+
+
+@pytest.mark.parametrize("width", range(6))
+def test_packed_sweep_matches_tuple_oracle(width):
+    # every level to 2w + 1 rows, by which all reachable states appear:
+    # each packed state decodes to one of the oracle's, with its count
+    rows = 2 * width + 1
+    levels = list(zip(census._sweep(width, rows), _tuple_sweep(width, rows), strict=True))
+    assert len(levels) == rows + 1
+    for k, (packed, spelled) in enumerate(levels):
+        assert decode_states(width, packed) == spelled, k
 
 
 def test_run_censuses_sweeps_each_width_once(monkeypatch):
@@ -83,7 +113,7 @@ def test_run_censuses_sweeps_each_width_once(monkeypatch):
     expected = {shape: run_census(*shape) for shape in set(shapes)}
     # a level read mid-sweep is the last level of a sweep that stops there
     levels = {(min(shape), max(shape)) for shape in expected}
-    last = {level: census._histogram(census._transfer(*level)) for level in levels}
+    last = {level: census._histogram(level[0], census._transfer(*level)) for level in levels}
     assert all(last[min(s), max(s)] == r.nullity_histogram for s, r in expected.items())
     sweeps = []
     sweep = census._sweep
