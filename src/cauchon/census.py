@@ -73,6 +73,12 @@ class CensusRecord(namedtuple("CensusRecord", "m n nullity_histogram")):
         }
 
 
+def _check_shape(m: int, n: int) -> None:
+    """Raise ValueError unless m x n is a grid shape: at least one row, no negative column count."""
+    if m < 1 or n < 0:
+        raise ValueError(f"grid shape {m}x{n} is not valid")
+
+
 @lru_cache(maxsize=None)
 def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     """All admissible next-row masks given the fully-black columns so far.
@@ -96,12 +102,14 @@ def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _wire_moves(width: int, row: int) -> tuple[tuple[int, int], ...]:
     """(source wire, parity flip) for each column wire across one row.
 
     The white columns j_1 < ... < j_k of the row (black where ``row`` has a
     bit) each take the wire of the white column before them, and j_1 takes
     the wire of j_k with its parity flipped. Black columns keep their wires.
+    Cached: ``_steps`` and every single diagram's fold share one per row.
     """
     moves = [(j, 0) for j in range(width)]
     white = [j for j in range(width) if not row >> j & 1]
@@ -242,8 +250,7 @@ def run_censuses(shapes: Iterable[tuple[int, int]]) -> list[CensusRecord]:
     """
     shapes = list(shapes)
     for m, n in shapes:
-        if m < 1 or n < 0:
-            raise ValueError(f"grid shape {m}x{n} is not valid")
+        _check_shape(m, n)
     levels: dict[int, set[int]] = {}
     for m, n in shapes:
         levels.setdefault(min(m, n), set()).add(max(m, n))

@@ -21,6 +21,8 @@ from .criterion import column_label_sum, fully_white_columns, primitive_1xn, pri
 from .diagram import (
     CauchonDiagram,
     _iter_row_masks,
+    count_diagrams,
+    count_diagrams_no_black_column,
     enumerate_diagrams,
     format_grid,
 )
@@ -85,19 +87,6 @@ def formula_value(formula_id: str, n: int | None = None, m: int | None = None) -
     raise UnknownFormulaError(f"unknown formula id {formula_id!r}")
 
 
-def _count_by_enumeration(m: int, n: int) -> tuple[int, int]:
-    """|C_{m,n}| and the number with no black column, from one enumeration."""
-    total = no_black_column = 0
-    for masks in _iter_row_masks(m, n):
-        total += 1
-        acc = (1 << n) - 1
-        for mask in masks:
-            acc &= mask
-        if acc == 0:
-            no_black_column += 1
-    return total, no_black_column
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one check: rows keyed by the ``header`` columns, and failures.
@@ -128,9 +117,9 @@ def check_formula(formula_id: str, ns: Iterable[int]) -> CheckReport:
     # raises for unknown ids and for the limit, which has no per-n value
     formulas = [formula_value(formula_id, n=n) for n in ns]
     if formula_id == C2_PRIME_TOTAL:
-        censused = [_count_by_enumeration(2, n)[1] for n in ns]
+        censused = [count_diagrams_no_black_column(2, n) for n in ns]
     elif formula_id == C2_TOTAL:
-        censused = [record.total for record in run_censuses([(2, n) for n in ns])]
+        censused = [count_diagrams(2, n) for n in ns]
     else:
         m = _FORMULA_ROWS[formula_id]
         censused = [record.primitive for record in run_censuses([(m, n) for n in ns])]
@@ -143,14 +132,18 @@ def check_formula(formula_id: str, ns: Iterable[int]) -> CheckReport:
 
 
 def check_relation_eqc(m: int, max_n: int) -> CheckReport:
-    """Verify |C_{m,n}| = sum_i C(n,i) * |C'_{m,n-i}|, both sides enumerated."""
+    """Verify |C_{m,n}| = sum_i C(n,i) * |C'_{m,n-i}| for n = 0..max_n, from two transfers.
+
+    |C_{m,n}| is ``count_diagrams``, along the shorter side, and |C'| (no black
+    column) is ``count_diagrams_no_black_column``, along the m rows.
+    """
     if m < 1 or max_n < 0:
         raise ValueError(f"invalid range m={m}, max_n={max_n}")
-    counts = [_count_by_enumeration(m, k) for k in range(max_n + 1)]
+    no_black_column = [count_diagrams_no_black_column(m, k) for k in range(max_n + 1)]
     rows, failures = [], []
     for n in range(max_n + 1):
-        lhs = counts[n][0]
-        rhs = sum(comb(n, i) * counts[n - i][1] for i in range(n + 1))
+        lhs = count_diagrams(m, n)
+        rhs = sum(comb(n, i) * no_black_column[n - i] for i in range(n + 1))
         rows.append({"n": n, "total": lhs, "binomial_sum": rhs, "match": lhs == rhs})
         if lhs != rhs:
             failures.append(f"n={n}: total={lhs} binomial_sum={rhs}")

@@ -7,10 +7,10 @@ breach, 4 unparseable grid input.
 
 Each command starts a fresh interpreter that compiles this file from source
 when no ``.pyc`` exists, so it holds only what ``count`` and ``table`` run:
-their bodies, one table of every command's options, the usage and guardrail
+their bodies, the one table of every command, the usage and guardrail
 checks, and ``main``. ``main`` builds the parser of the named command alone.
-The bodies of ``pfaffian``, ``check``, ``enumerate`` and ``matchings`` live
-in ``cauchon.commands``, which only they load.
+The other bodies and the table of ``check`` subjects live in
+``cauchon.commands``, which only those commands load.
 """
 
 import argparse
@@ -149,6 +149,12 @@ def _table_cells(args: argparse.Namespace) -> int:
     return args.max_rows * args.max_cols
 
 
+def _check_cells(args: argparse.Namespace) -> int:
+    from .commands import CHECK_SUBJECTS
+
+    return CHECK_SUBJECTS[args.subject][1](args)
+
+
 # --- the options of every command ------------------------------------------------------
 
 
@@ -171,19 +177,11 @@ _MAX_CELLS = ("--max-cells", {"type": _positive_int, "default": DEFAULT_MAX_CELL
 # kept so that existing command lines that pass it still parse
 _WORKERS = ("--workers", {"type": _positive_int, "default": 1, "help": "ignored: the census runs in one process"})
 
-#: check subject -> (size options with their defaults, squares the guardrail checks)
-_CHECK_SIZES = {
-    "formula-2xn": ({"max_n": 9}, lambda a: 2 * a.max_n),
-    "conjecture-3xn": ({"max_n": 7}, lambda a: 3 * a.max_n),
-    "criterion-2xn": ({"max_n": 8}, lambda a: 2 * a.max_n),
-    "power-of-two": ({"max_rows": 4, "max_cols": 4}, lambda a: a.max_rows * a.max_cols),
-    "relation-eqc": ({"rows": 2, "max_n": 8}, lambda a: a.rows * a.max_n),
-    "lemma-decomposition": ({"max_n": 5}, lambda a: 2 * a.max_n),
-}
 
 #: command -> (help line, options in help order, or None for the check
 #: subjects; the usage checks, giving the squares the guardrail checks, or
-#: None for no guardrail; the body, or None for one in cauchon.commands)
+#: None for no guardrail; the body, which returns the exit code, or the name
+#: of one in cauchon.commands, which returns False when a check failed)
 _COMMANDS = {
     "count": (
         "census a single grid shape",
@@ -204,24 +202,23 @@ _COMMANDS = {
         [_GRID, ("--show-matrix", {"action": "store_true"}), ("--show-nullity", {"action": "store_true"}),
          ("--format", {"choices": ["text", "json"], "default": "text"})],
         None,
-        None,
+        "run_pfaffian",
     ),
-    "check": (
-        "verify identities and scan conjectures",
-        None,
-        lambda a: _CHECK_SIZES[a.subject][1](a),
-        None,
+    "check": ("verify identities and scan conjectures", None, _check_cells, "run_check"),
+    "enumerate": (
+        "stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _enumerate_cells, "run_enumerate"
     ),
-    "enumerate": ("stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _enumerate_cells, None),
-    "matchings": ("stream the perfect matchings of one grid", [_GRID, _STREAM_FORMAT], None, None),
+    "matchings": ("stream the perfect matchings of one grid", [_GRID, _STREAM_FORMAT], None, "run_matchings"),
 }
 
 
 def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     options = _COMMANDS[command][1]
     if options is None:
+        from .commands import CHECK_SUBJECTS
+
         subjects = parser.add_subparsers(dest="subject", required=True)
-        for subject, (sizes, _) in _CHECK_SIZES.items():
+        for subject, (sizes, *_) in CHECK_SUBJECTS.items():
             s = subjects.add_parser(subject)
             for name, default in sizes.items():
                 s.add_argument("--" + name.replace("_", "-"), type=_positive_int, default=default)
@@ -271,11 +268,11 @@ def main(argv: list[str] | None = None) -> int:
             cells = usage_cells(args)
             if cells > args.max_cells:
                 raise GuardrailError(cells, args.max_cells)
-        if body is not None:
+        if callable(body):
             return body(args)
         from . import commands
 
-        return EXIT_OK if commands.run(args) else EXIT_CHECK_FAILED
+        return EXIT_OK if getattr(commands, body)(args) else EXIT_CHECK_FAILED
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

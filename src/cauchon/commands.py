@@ -1,11 +1,12 @@
-"""The commands of ``cauchon.cli`` beyond ``count`` and ``table``.
+"""The commands of ``cauchon.cli`` beyond ``count`` and ``table``, and the ``check`` subjects.
 
 ``pfaffian``, ``check``, ``enumerate`` and ``matchings`` run from here, and
-only they load this module. ``cauchon.cli`` parses their options and makes
-their usage and guardrail checks before ``run`` is called; this module
-never imports ``cauchon.cli``, which under ``python -m cauchon.cli`` is
-``__main__``, so that every exception its ``main`` catches comes from one
-copy of that module. Grid errors are ``diagram.GridError``.
+only they load this module. ``cauchon.cli`` parses their options, building
+a ``check`` parser from ``CHECK_SUBJECTS``, and makes their usage and
+guardrail checks before it calls a body; a body returns False when a check
+failed. This module never imports ``cauchon.cli``, which under ``python -m
+cauchon.cli`` is ``__main__``, so that every exception its ``main`` catches
+comes from one copy of that module. Grid errors are ``diagram.GridError``.
 """
 
 import argparse
@@ -31,7 +32,7 @@ def _read_grid(spec: str):
 # --- pfaffian -------------------------------------------------------------------
 
 
-def _pfaffian(args: argparse.Namespace) -> bool:
+def run_pfaffian(args: argparse.Namespace) -> bool:
     from .pfaffian import classify, skew_adjacency
 
     diagram = _read_grid(args.grid)
@@ -69,31 +70,41 @@ def _pfaffian(args: argparse.Namespace) -> bool:
 
 # --- check ----------------------------------------------------------------------
 
-#: subject -> (the check given the ``checks`` module, the text-format verdict
-#: when nothing fails); the size options and guardrail are in cauchon.cli
-_CHECKS = {
+#: check subject -> (size options with their defaults, the squares the
+#: guardrail checks, the check given the ``checks`` module, the text-format
+#: verdict when nothing fails)
+CHECK_SUBJECTS = {
     "formula-2xn": (
-        lambda checks, a: checks.check_formula(checks.P2_CLOSED, range(1, a.max_n + 1)),
-        "PASS",
+        {"max_n": 9}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_formula(checks.P2_CLOSED, range(1, a.max_n + 1)), "PASS",
     ),
     "conjecture-3xn": (
-        lambda checks, a: checks.check_formula(checks.P3_CONJECTURED, range(1, a.max_n + 1)),
-        "no counterexample found",
+        {"max_n": 7}, lambda a: 3 * a.max_n,
+        lambda checks, a: checks.check_formula(checks.P3_CONJECTURED, range(1, a.max_n + 1)), "no counterexample found",
     ),
-    "criterion-2xn": (lambda checks, a: checks.check_criterion_2xn(a.max_n), "PASS"),
+    "criterion-2xn": (
+        {"max_n": 8}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_criterion_2xn(a.max_n), "PASS",
+    ),
     "power-of-two": (
-        lambda checks, a: checks.scan_power_of_two(a.max_rows, a.max_cols),
-        "no counterexample found",
+        {"max_rows": 4, "max_cols": 4}, lambda a: a.max_rows * a.max_cols,
+        lambda checks, a: checks.scan_power_of_two(a.max_rows, a.max_cols), "no counterexample found",
     ),
-    "relation-eqc": (lambda checks, a: checks.check_relation_eqc(a.rows, a.max_n), "PASS"),
-    "lemma-decomposition": (lambda checks, a: checks.check_lemma_decomposition(a.max_n), "PASS"),
+    "relation-eqc": (
+        {"rows": 2, "max_n": 8}, lambda a: a.rows * a.max_n,
+        lambda checks, a: checks.check_relation_eqc(a.rows, a.max_n), "PASS",
+    ),
+    "lemma-decomposition": (
+        {"max_n": 5}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_lemma_decomposition(a.max_n), "PASS",
+    ),
 }
 
 
-def _check(args: argparse.Namespace) -> bool:
+def run_check(args: argparse.Namespace) -> bool:
     from . import checks
 
-    run, verdict = _CHECKS[args.subject]
+    *_, run, verdict = CHECK_SUBJECTS[args.subject]
     report = run(checks, args)
     if args.format == "json":
         print(json.dumps(report.rows, default=str))
@@ -117,7 +128,7 @@ def _check(args: argparse.Namespace) -> bool:
 # --- enumerate / matchings -------------------------------------------------------
 
 
-def _enumerate(args: argparse.Namespace) -> bool:
+def run_enumerate(args: argparse.Namespace) -> bool:
     from .pfaffian import classify
 
     for diagram in enumerate_diagrams(args.rows, args.cols):
@@ -144,7 +155,7 @@ def _enumerate(args: argparse.Namespace) -> bool:
     return True
 
 
-def _matchings(args: argparse.Namespace) -> bool:
+def run_matchings(args: argparse.Namespace) -> bool:
     from .matching import enumerate_matchings
 
     diagram = _read_grid(args.grid)
@@ -158,10 +169,3 @@ def _matchings(args: argparse.Namespace) -> bool:
             print(json.dumps({"edges": [list(edge) for edge in edges], "sign": sign}))
     return True
 
-
-_RUN = {"pfaffian": _pfaffian, "check": _check, "enumerate": _enumerate, "matchings": _matchings}
-
-
-def run(args: argparse.Namespace) -> bool:
-    """Run ``args.command`` as parsed by ``cauchon.cli``; False when a check failed."""
-    return _RUN[args.command](args)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
-from .census import _row_candidates
+from .census import _check_shape, _row_candidates
 
 __all__ = [
     "GridError",
@@ -193,8 +193,7 @@ def validate(black_cells: Iterable[tuple[int, int]], m: int, n: int) -> bool:
     lie inside the m x n grid (cells outside raise ValueError). The check
     itself is total: any in-grid mask yields True or False.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"grid shape {m}x{n} is not valid")
+    _check_shape(m, n)
     masks = [0] * m
     for row, col in black_cells:
         if not (1 <= row <= m and 1 <= col <= n):
@@ -275,8 +274,7 @@ def enumerate_diagrams(m: int, n: int) -> Iterator[CauchonDiagram]:
 
     n = 0 yields the single empty diagram.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"grid shape {m}x{n} is not valid")
+    _check_shape(m, n)
     for masks in _iter_row_masks(m, n):
         yield CauchonDiagram(m, n, masks)
 
@@ -301,16 +299,14 @@ def count_diagrams(m: int, n: int) -> int:
     Agrees with the length of :func:`enumerate_diagrams` (tested), and with
     the binomial relation expressing it through the no-black-column counts.
     """
-    if m < 1 or n < 0:
-        raise ValueError(f"grid shape {m}x{n} is not valid")
+    _check_shape(m, n)
     # |C_{m,n}| = |C_{n,m}| by transposition; the row width sets the cost
     return sum(_state_counts(max(m, n), min(m, n)).values())
 
 
 def count_diagrams_no_black_column(m: int, n: int) -> int:
     """Number of m x n diagrams with no entirely black column."""
-    if m < 1 or n < 0:
-        raise ValueError(f"grid shape {m}x{n} is not valid")
+    _check_shape(m, n)
     return _state_counts(m, n).get(0, 0)
 
 
