@@ -63,7 +63,8 @@ def transfer_bytes(width: int, rows: int) -> tuple[int, float, float]:
     """
     census._steps(width)
     tracemalloc.start()
-    states = census._transfer(width, rows)
+    for states in census._sweep(width, rows):
+        pass
     held, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return len(states), peak / len(states), held / len(states)

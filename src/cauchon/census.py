@@ -176,13 +176,6 @@ def _sweep(width: int, rows: int) -> Iterator[dict[int, int]]:
         yield states
 
 
-def _transfer(width: int, rows: int) -> dict[int, int]:
-    """The states the ``rows`` x ``width`` diagrams end in: the last level of a sweep."""
-    for states in _sweep(width, rows):
-        pass
-    return states
-
-
 def _state_wires(width: int, state: int) -> tuple[int, ...]:
     """The wires of a packed state: wire j holds 2 * pi(j) + its parity."""
     perm = _steps(width)[0][state >> 2 * width]
@@ -193,7 +186,7 @@ def _diagram_wires(width: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """The wires one diagram ends in: its row masks folded from the transfer's start.
 
     The nullity of a single diagram is ``_even_cycles`` of these wires, the
-    same count the census takes over the states ``_transfer`` ends in.
+    same count the census takes over the last level of ``_sweep``.
     """
     wires = tuple(2 * w + 1 for w in range(width))
     for row in rows:

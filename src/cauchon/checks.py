@@ -20,7 +20,6 @@ from .census import run_census, run_censuses
 from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
 from .diagram import (
     CauchonDiagram,
-    _iter_row_masks,
     count_diagrams,
     count_diagrams_no_black_column,
     enumerate_diagrams,
@@ -221,14 +220,12 @@ def check_lemma_decomposition(max_n: int) -> CheckReport:
         before = len(failures)
         diagrams = 0
         subsets = 0
-        for masks in _iter_row_masks(2, n):
-            acc = masks[0] & masks[1]
-            if acc:
+        for diagram in enumerate_diagrams(2, n):
+            if diagram.black_column_mask():
                 continue
-            diagram = CauchonDiagram(2, n, masks)
             diagrams += 1
             vert = fully_white_columns(diagram)
-            m, m_prime = (n - mask.bit_count() for mask in masks)
+            m, m_prime = (n - mask.bit_count() for mask in diagram.row_masks)
             sums = vertical_edge_sums(diagram)
             for bits in range(1 << len(vert)):
                 subset = [vert[i] for i in range(len(vert)) if bits >> i & 1]

@@ -16,7 +16,6 @@ white < black), smallest first, so the all-white diagram always comes first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
@@ -249,24 +248,15 @@ def format_grid(diagram: CauchonDiagram) -> str:
 
 def _iter_row_masks(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield the row-mask tuples of every m x n diagram in lexicographic order."""
-
-    def rec(level: int, above: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if level == m:
-            yield tuple(acc)
-            return
-        candidates = _row_candidates(n, above)
-        if level == m - 1:  # leaves, without a generator each
-            for mask in candidates:
-                acc.append(mask)
-                yield tuple(acc)
-                acc.pop()
-            return
-        for mask in candidates:
-            acc.append(mask)
-            yield from rec(level + 1, above & mask, acc)
-            acc.pop()
-
-    yield from rec(0, (1 << n) - 1, [])
+    if m == 0:
+        yield ()
+        return
+    for rows in _iter_row_masks(m - 1, n):
+        above = (1 << n) - 1
+        for row in rows:
+            above &= row
+        for mask in _row_candidates(n, above):
+            yield (*rows, mask)
 
 
 def enumerate_diagrams(m: int, n: int) -> Iterator[CauchonDiagram]:
@@ -279,7 +269,6 @@ def enumerate_diagrams(m: int, n: int) -> Iterator[CauchonDiagram]:
         yield CauchonDiagram(m, n, masks)
 
 
-@lru_cache(maxsize=None)
 def _state_counts(m: int, n: int) -> dict[int, int]:
     # distribution of the fully-black-column mask after m rows
     dist = {(1 << n) - 1: 1}
@@ -305,9 +294,18 @@ def count_diagrams(m: int, n: int) -> int:
 
 
 def count_diagrams_no_black_column(m: int, n: int) -> int:
-    """Number of m x n diagrams with no entirely black column."""
+    """Number of m x n diagrams with no entirely black column.
+
+    The last row is counted, not stepped: after m - 1 rows with ``above``
+    black so far, it must leave every such column white, so it is a leading
+    run that stops short of the first of them or, when ``above`` is 0, any
+    run or the full row.
+    """
     _check_shape(m, n)
-    return _state_counts(m, n).get(0, 0)
+    return sum(
+        count * ((above & -above).bit_length() or n + 1)
+        for above, count in _state_counts(m - 1, n).items()
+    )
 
 
 def strip_black_columns(diagram: CauchonDiagram) -> CauchonDiagram:

@@ -14,6 +14,7 @@ from cauchon import (
     census,
     count_diagrams,
     count_diagrams_no_black_column,
+    diagram,
     enumerate_diagrams,
     enumerate_matchings,
     format_grid,
@@ -236,7 +237,7 @@ def test_core_search_matches_filtered_stream(m, n):
         if full not in masks and not black_columns:
             nullity = backend.classify_cells(*white_coordinates(masks, n))[1]
             assert census._even_cycles(wires) == nullity, masks
-    assert decode_states(n, census._transfer(n, m)) == replayed
+    assert decode_states(n, [*census._sweep(n, m)][-1]) == replayed
 
 
 # --- counting ---------------------------------------------------------------
@@ -251,8 +252,8 @@ def test_count_examples():
 
 #: the shapes whose counts the binomial relation of acceptance criterion 3
 #: compares (m <= 3, n <= 8): both sides are transfers, so the enumeration
-#: checks them here
-ENUMERATED_SHAPES = [(m, n) for m in range(1, 4) for n in range(0, 9)]
+#: checks them here; four rows (n <= 5) count a last row after three
+ENUMERATED_SHAPES = [(m, n) for m in range(1, 4) for n in range(0, 9)] + [(4, n) for n in range(0, 6)]
 
 
 @pytest.mark.parametrize("m,n", ENUMERATED_SHAPES)
@@ -270,6 +271,30 @@ def test_two_row_count_formula(n):
 def test_two_row_no_black_column_count(n):
     expected = 2 ** (n + 1) - 1 if n else 1
     assert count_diagrams_no_black_column(2, n) == expected
+
+
+def test_no_black_column_count_does_not_step_the_last_row(monkeypatch):
+    # C_{2,15} has 28.7M diagrams and C_{1,30} 2^30: a count that steps its
+    # last row hands out more rows than the cap allows
+    handed = 0
+    candidates = diagram._row_candidates
+
+    def capped(n, above):
+        nonlocal handed
+        # sized before it is built, so a 2^30-row table is refused unmade:
+        # a leading run of each length p < n, any subset of the columns
+        # black so far right of column p + 1 black, and the full row
+        size = 1 + sum(1 << (above >> p + 1).bit_count() for p in range(n))
+        handed += size
+        if handed > 10**6:
+            raise AssertionError(f"more than 10**6 admissible rows handed out, at width {n}")
+        rows = candidates(n, above)
+        assert len(rows) == size
+        return rows
+
+    monkeypatch.setattr(diagram, "_row_candidates", capped)
+    assert count_diagrams_no_black_column(2, 15) == 2**16 - 1
+    assert count_diagrams_no_black_column(1, 30) == 1
 
 
 @pytest.mark.parametrize("n", range(0, 7))
