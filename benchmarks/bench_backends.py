@@ -12,10 +12,12 @@ takes under ``tracemalloc``: the peak of the sweep, which holds two levels
 at once, and what the last level holds. Last, it times
 ``cauchon count --rows 5 --cols 4 --histogram --format json`` and
 ``cauchon table --max-rows 4 --max-cols 5 --format csv`` in fresh
-interpreters, on a copy of the package without ``.pyc`` files and writing
-none, as the benchmark runs them, counts the modules the count command
-loads beyond ``argparse`` and ``json``, and the lines of ``cauchon`` source
-it compiles. Run from the repository root:
+interpreters writing no ``.pyc``, on two copies of the checkout: one built
+as the benchmark builds it (``python setup.py build_ext --inplace``, which
+byte-compiles the package) and one left unbuilt, so every call compiles
+the source. It counts the modules the count command loads beyond
+``argparse`` and ``json``, and how many ``cauchon`` modules it takes from
+bytecode and how many from source in each copy. Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
 
@@ -27,6 +29,7 @@ shapes too large to classify one diagram at a time:
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,10 +38,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import cauchon
 from cauchon import backend, census
 from cauchon.diagram import _iter_row_masks, white_coordinates
 
+ROOT = Path(__file__).resolve().parent.parent
 COLD_COMMAND = ["-m", "cauchon.cli", "count", "--rows", "5", "--cols", "4", "--histogram", "--format", "json"]
 COLD_TABLE = ["-m", "cauchon.cli", "table", "--max-rows", "4", "--max-cols", "5", "--format", "csv"]
 
@@ -83,11 +86,25 @@ def imported_modules(args: list[str], path: str) -> set[str]:
     return names - {"imported package"}  # the log's header line
 
 
-def source_lines(path: str, name: str) -> int:
-    """Lines of the source of module ``name`` under ``path``."""
-    source = Path(path, *name.split("."))
-    source = source / "__init__.py" if source.is_dir() else source.with_suffix(".py")
-    return len(source.read_text().splitlines())
+def code_origins(args: list[str], path: str) -> tuple[int, int]:
+    """``cauchon`` modules ``python ARGS`` takes from bytecode and from source, from its -v log."""
+    log = run_cold(["-v", *args], path).stderr
+    # bytecode is named by its repr, source by its bare path
+    files = re.findall(r"^# code object from '?(.*?)'?$", log, re.M)
+    own = [name for name in files if name.startswith(str(Path(path, "cauchon")))]
+    bytecode = sum(name.endswith(".pyc") for name in own)
+    return bytecode, len(own) - bytecode
+
+
+def copy_checkout(path: Path, build: bool) -> str:
+    """Copy the checkout to ``path`` with no .pyc, built in place if ``build``; returns its import path."""
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(ROOT / name, path / name)
+    shutil.copytree(ROOT / "src", path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    if build:
+        command = [sys.executable, "setup.py", "build_ext", "--inplace"]
+        subprocess.run(command, cwd=path, capture_output=True, check=True)
+    return str(path / "src")
 
 
 def main() -> None:
@@ -144,26 +161,36 @@ def classify(args: argparse.Namespace) -> None:
 
 
 def cold_start(args: argparse.Namespace) -> None:
-    """Time the count and table commands in fresh interpreters; list what the count loads and compiles."""
-    with tempfile.TemporaryDirectory() as path:
-        package = Path(cauchon.__file__).resolve().parent
-        shutil.copytree(package, Path(path) / "cauchon", ignore=shutil.ignore_patterns("__pycache__"))
+    """Time count and table cold, built and unbuilt; list what the count loads and whence its code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {}
+        for label, build in (("built", True), ("unbuilt", False)):
+            (Path(tmp) / label).mkdir()
+            copies[label] = copy_checkout(Path(tmp) / label, build)
         for command in (COLD_COMMAND, COLD_TABLE):
-            walls = []
+            walls = {label: [] for label in copies}
             for _ in range(args.repeats):
-                start = time.perf_counter()
-                run_cold(command, path)
-                walls.append(time.perf_counter() - start)
-            print(f"cold start  : {1e3 * min(walls):8.1f}ms  (min of {args.repeats}, `cauchon {' '.join(command[2:])}`)")
+                for label, path in copies.items():
+                    start = time.perf_counter()
+                    run_cold(command, path)
+                    walls[label].append(time.perf_counter() - start)
+            print(
+                f"cold start  : {1e3 * min(walls['built']):8.1f}ms built (.pyc), "
+                f"{1e3 * min(walls['unbuilt']):.1f}ms unbuilt (no .pyc)  "
+                f"(min of {args.repeats}, `cauchon {' '.join(command[2:])}`)"
+            )
+        path = copies["built"]
         extra = imported_modules(COLD_COMMAND, path) - imported_modules(["-c", "import argparse, json"], path)
-        # under -m, cauchon.cli runs as __main__ and is compiled all the same
-        own = sorted({*(name for name in extra if name.split(".")[0] == "cauchon"), "cauchon.cli"})
-        lines = {name: source_lines(path, name) for name in own}
+        origins = {label: code_origins(COLD_COMMAND, path) for label, path in copies.items()}
+    # under -m, cauchon.cli runs as __main__ and has no import line of its own
+    own = sorted({*(name for name in extra if name.split(".")[0] == "cauchon"), "cauchon.cli"})
     stdlib = sorted(name for name in extra if name.split(".")[0] in sys.stdlib_module_names)
     print(f"  beyond argparse and json the count loads {len(own)} cauchon modules ({', '.join(own)})")
     print(f"  and {len(stdlib)} standard-library modules ({', '.join(stdlib)})")
-    compiled = ", ".join(f"{name} {n}" for name, n in lines.items())
-    print(f"  it compiles {sum(lines.values())} lines of cauchon source ({compiled})")
+    print(
+        "  its cauchon modules come from bytecode and from source: "
+        + ", ".join(f"{label} {bytecode} and {source}" for label, (bytecode, source) in origins.items())
+    )
 
 
 if __name__ == "__main__":

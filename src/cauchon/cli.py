@@ -5,12 +5,14 @@ fixed and timing goes to stderr, never into the data channel. Exit codes:
 0 success, 1 check failure or counterexample, 2 usage error, 3 guardrail
 breach, 4 unparseable grid input.
 
-Each command starts a fresh interpreter that compiles this file from source
-when no ``.pyc`` exists, so it holds only what ``count`` and ``table`` run:
-their bodies, the one table of every command, the usage and guardrail
-checks, and ``main``. ``main`` builds the parser of the named command alone.
-The other bodies and the table of ``check`` subjects live in
-``cauchon.commands``, which only those commands load.
+Each command starts a fresh interpreter. A checkout built with ``python
+setup.py build_ext --inplace`` loads this file as bytecode; an unbuilt one,
+with no ``.pyc``, compiles it from source on every call. So it holds only
+what ``count`` and ``table`` run: their bodies, the one table of every
+command, the usage and guardrail checks, and ``main``. ``main`` builds the
+parser of the named command alone. The other bodies and the table of
+``check`` subjects live in ``cauchon.commands``, which only those
+commands load.
 """
 
 import argparse

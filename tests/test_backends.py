@@ -1,8 +1,11 @@
 """Cross-checks between the exact condensation kernel and slow reference
 implementations written here from first principles."""
 
+import importlib.util
 import itertools
+import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -138,20 +141,87 @@ def test_active_backend_name():
     assert backend.active_backend() == "python"
 
 
-def test_build_ext_inplace_builds_nothing(tmp_path):
-    # perfbench's set-up runs this command on a fresh copy of the checkout
-    root = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+COUNT = ["-m", "cauchon.cli", "count", "--rows", "2", "--cols", "9", "--histogram", "--format", "json"]
+
+
+def copy_checkout(path: Path) -> Path:
+    """Copy what perfbench's set-up builds, with no ``.pyc``, to ``path``; returns the package."""
     for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(root / name, tmp_path / name)
-    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    done = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-    )
+        shutil.copy(ROOT / name, path / name)
+    shutil.copytree(ROOT / "src", path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return path / "src" / "cauchon"
+
+
+def build_inplace(path: Path) -> subprocess.CompletedProcess:
+    # perfbench's set-up runs this command on a fresh copy of the checkout
+    command = [sys.executable, "setup.py", "build_ext", "--inplace"]
+    return subprocess.run(command, cwd=path, capture_output=True, text=True)
+
+
+def run_copy(path: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` importing ``cauchon`` from the copy at ``path`` and writing no ``.pyc``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(path / "src"))
+    return subprocess.run([sys.executable, *args], cwd=path, env=env, capture_output=True, text=True)
+
+
+def loaded_code(package: Path, verbose_log: str) -> tuple[set[str], set[str]]:
+    """The sources of the package's modules a ``python -v`` run imports, and the files it took their code from."""
+    # cauchon.cli runs under runpy as __main__, so the log has no import line for it
+    modules = {"cauchon.cli", *re.findall(r"^import '(cauchon[.\w]*)'", verbose_log, re.M)}
+    sources = {str(package / (name.partition(".")[2] or "__init__")) + ".py" for name in modules}
+    # bytecode is named by its repr, source by its bare path
+    files = re.findall(r"^# code object from '?(.*?)'?$", verbose_log, re.M)
+    return sources, {name for name in files if name.startswith(str(package))}
+
+
+def test_build_ext_inplace_builds_no_extension(tmp_path):
+    package = copy_checkout(tmp_path)
+    done = build_inplace(tmp_path)
     assert done.returncode == 0, done.stderr
-    assert {path.suffix for path in (tmp_path / "src" / "cauchon").iterdir()} == {".py"}
+    assert not [path for path in tmp_path.rglob("*") if path.suffix in {".so", ".pyd", ".c"}]
+    assert {path.name for path in package.iterdir() if path.suffix != ".py"} == {"__pycache__"}
+    cached = {importlib.util.cache_from_source(str(path)) for path in package.glob("*.py")}
+    assert {str(path) for path in (package / "__pycache__").iterdir()} == cached
+
+
+def test_cli_loads_bytecode_after_the_build(tmp_path):
+    built, unbuilt = tmp_path / "built", tmp_path / "unbuilt"
+    for path in (built, unbuilt):
+        path.mkdir()
+        copy_checkout(path)
+    assert build_inplace(built).returncode == 0
+    runs = {path: run_copy(path, "-v", *COUNT) for path in (built, unbuilt)}
+    for path, done in runs.items():
+        assert done.returncode == 0, done.stderr
+        package = path / "src" / "cauchon"
+        sources, files = loaded_code(package, done.stderr)
+        expected = {importlib.util.cache_from_source(name) for name in sources} if path == built else sources
+        assert files == expected
+    assert runs[built].stdout == runs[unbuilt].stdout
+
+
+def test_an_edit_after_the_build_runs(tmp_path):
+    cli = copy_checkout(tmp_path) / "cli.py"
+    assert build_inplace(tmp_path).returncode == 0
+    source = cli.read_text()
+    edited = source.replace("exceeds the guardrail", "EXCEEDS the guardrail")
+    assert edited != source and len(edited) == len(source)
+    cli.write_text(edited)
+    # the size is unchanged, so only the moved mtime tells the .pyc is stale
+    mtime = cli.stat().st_mtime_ns + 10 * 10**9
+    os.utime(cli, ns=(mtime, mtime))
+    done = run_copy(tmp_path, "-m", "cauchon.cli", "count", "--rows", "6", "--cols", "6")
+    assert done.returncode == 3
+    assert "36 cells EXCEEDS the guardrail of 30" in done.stderr
+
+
+def test_build_fails_on_a_module_that_does_not_compile(tmp_path):
+    broken = copy_checkout(tmp_path) / "matching.py"
+    broken.write_text(broken.read_text() + "\ndef (:\n")
+    done = build_inplace(tmp_path)
+    assert done.returncode != 0
+    assert str(broken.resolve()) in done.stdout + done.stderr
 
 
 def low_rank_skew(rng, d, rank_pairs, bound=10**12):
