@@ -15,9 +15,11 @@ at once, and what the last level holds. Last, it times
 interpreters writing no ``.pyc``, on two copies of the checkout: one built
 as the benchmark builds it (``python setup.py build_ext --inplace``, which
 byte-compiles the package) and one left unbuilt, so every call compiles
-the source. It counts the modules the count command loads beyond
-``argparse`` and ``json``, and how many ``cauchon`` modules it takes from
-bytecode and how many from source in each copy. Run from the repository root:
+the source. Before them it times that build step itself, best of
+``--repeats`` builds of a copy holding no ``.pyc``. It counts the modules
+the count command loads beyond ``argparse`` and ``json``, and how many
+``cauchon`` modules it takes from bytecode and how many from source in each
+copy. Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
 
@@ -96,15 +98,19 @@ def code_origins(args: list[str], path: str) -> tuple[int, int]:
     return bytecode, len(own) - bytecode
 
 
-def copy_checkout(path: Path, build: bool) -> str:
-    """Copy the checkout to ``path`` with no .pyc, built in place if ``build``; returns its import path."""
+def copy_checkout(path: Path) -> str:
+    """Copy the checkout to ``path`` with no .pyc; returns its import path."""
     for name in ("setup.py", "pyproject.toml"):
         shutil.copy(ROOT / name, path / name)
     shutil.copytree(ROOT / "src", path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    if build:
-        command = [sys.executable, "setup.py", "build_ext", "--inplace"]
-        subprocess.run(command, cwd=path, capture_output=True, check=True)
     return str(path / "src")
+
+
+def build_inplace(path: Path) -> float:
+    """Build the copy at ``path`` as the benchmark builds it; returns the wall time in seconds."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"], cwd=path, capture_output=True, check=True)
+    return time.perf_counter() - start
 
 
 def main() -> None:
@@ -161,12 +167,20 @@ def classify(args: argparse.Namespace) -> None:
 
 
 def cold_start(args: argparse.Namespace) -> None:
-    """Time count and table cold, built and unbuilt; list what the count loads and whence its code."""
+    """Time the build, and count and table cold, built and unbuilt; list what the count loads and whence its code."""
     with tempfile.TemporaryDirectory() as tmp:
         copies = {}
-        for label, build in (("built", True), ("unbuilt", False)):
+        for label in ("built", "unbuilt"):
             (Path(tmp) / label).mkdir()
-            copies[label] = copy_checkout(Path(tmp) / label, build)
+            copies[label] = copy_checkout(Path(tmp) / label)
+        builds = []
+        for _ in range(args.repeats):
+            shutil.rmtree(Path(copies["built"], "cauchon", "__pycache__"), ignore_errors=True)
+            builds.append(build_inplace(Path(tmp) / "built"))
+        print(
+            f"build       : {1e3 * min(builds):8.1f}ms  "
+            f"(min of {args.repeats} fresh builds, `python setup.py build_ext --inplace` on a copy with no .pyc)"
+        )
         for command in (COLD_COMMAND, COLD_TABLE):
             walls = {label: [] for label in copies}
             for _ in range(args.repeats):

@@ -1,29 +1,42 @@
 """Build script: the package is pure Python, so the build byte-compiles it.
 
-``python setup.py build_ext --inplace`` builds no extension. It writes the
-bytecode of every module of ``src/cauchon`` into its ``__pycache__``, so a
-later ``python -m cauchon.cli`` call loads bytecode instead of compiling
+``python setup.py build_ext --inplace`` (or ``-i``) builds no extension and
+loads no setuptools. It writes the bytecode of every module of
+``src/cauchon`` into its ``__pycache__`` with the standard library's
+``compileall`` and exits, so a checkout builds with no setuptools installed.
+A later ``python -m cauchon.cli`` call loads bytecode instead of compiling
 the source, even under ``PYTHONDONTWRITEBYTECODE``. Python checks each
-``.pyc`` against its source, so an edit after the build still runs. A
-module that does not compile fails the build. perfbench's set-up runs this
-command on a fresh copy of the checkout, which holds no ``.pyc``.
+``.pyc`` against its source, so an edit after the build still runs. A module
+that does not compile fails the build, and compileall names the file.
+perfbench's set-up runs this command on a fresh copy of the checkout, which
+holds no ``.pyc``.
+
+Any other command line naming ``build_ext`` exits 2 with a usage line naming
+the argument, as stock setuptools would build nothing and skip the
+byte-compile. Every other command (``pip install -e .``, wheel builds,
+``--version``) runs setuptools with the metadata of ``pyproject.toml``.
 """
 
-import compileall
 import sys
-from pathlib import Path
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
+INPLACE = ("--inplace", "-i")
+args = sys.argv[1:]
 
-PACKAGE = Path(__file__).resolve().parent / "src" / "cauchon"
+if args in (["build_ext", "--inplace"], ["build_ext", "-i"]):
+    import compileall
+    from pathlib import Path
 
+    package = Path(__file__).resolve().parent / "src" / "cauchon"
+    if not compileall.compile_dir(package, quiet=1):
+        sys.exit(f"error: a module of {package} does not compile")
+elif "build_ext" in args:
+    rest = [arg for arg in args if arg != "build_ext"]
+    # with no other argument, a second in-place flag is the one too many
+    unknown = [arg for arg in rest if arg not in INPLACE] or rest[1:]
+    error = f"unrecognized argument: {unknown[0]}" if unknown else "missing --inplace"
+    print(f"usage: setup.py build_ext --inplace\nsetup.py build_ext: error: {error}", file=sys.stderr)
+    sys.exit(2)
+else:
+    from setuptools import setup
 
-class build_ext_bytecode(build_ext):
-    def run(self):
-        super().run()
-        if self.inplace and not compileall.compile_dir(PACKAGE, quiet=1):
-            sys.exit(f"error: a module of {PACKAGE} does not compile")
-
-
-setup(cmdclass={"build_ext": build_ext_bytecode})
+    setup()

@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from cauchon import backend
 
 
@@ -153,10 +155,20 @@ def copy_checkout(path: Path) -> Path:
     return path / "src" / "cauchon"
 
 
-def build_inplace(path: Path) -> subprocess.CompletedProcess:
+def setup_py(path: Path, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python setup.py ARGS`` in the copy at ``path``, with ``env`` added to the environment."""
+    command = [sys.executable, "setup.py", *args]
+    return subprocess.run(command, cwd=path, env=dict(os.environ, **env), capture_output=True, text=True)
+
+
+def build_inplace(path: Path, flag: str = "--inplace", **env: str) -> subprocess.CompletedProcess:
     # perfbench's set-up runs this command on a fresh copy of the checkout
-    command = [sys.executable, "setup.py", "build_ext", "--inplace"]
-    return subprocess.run(command, cwd=path, capture_output=True, text=True)
+    return setup_py(path, "build_ext", flag, **env)
+
+
+def cached_modules(package: Path) -> set[str]:
+    """The ``.pyc`` the build must write: one in ``__pycache__`` for every module of the package."""
+    return {importlib.util.cache_from_source(str(path)) for path in package.glob("*.py")}
 
 
 def run_copy(path: Path, *args: str) -> subprocess.CompletedProcess:
@@ -177,12 +189,48 @@ def loaded_code(package: Path, verbose_log: str) -> tuple[set[str], set[str]]:
 
 def test_build_ext_inplace_builds_no_extension(tmp_path):
     package = copy_checkout(tmp_path)
+    before = set(tmp_path.rglob("*"))
     done = build_inplace(tmp_path)
     assert done.returncode == 0, done.stderr
-    assert not [path for path in tmp_path.rglob("*") if path.suffix in {".so", ".pyd", ".c"}]
-    assert {path.name for path in package.iterdir() if path.suffix != ".py"} == {"__pycache__"}
-    cached = {importlib.util.cache_from_source(str(path)) for path in package.glob("*.py")}
-    assert {str(path) for path in (package / "__pycache__").iterdir()} == cached
+    # nothing but the bytecode: no extension, no build/ and no *.egg-info
+    assert set(tmp_path.rglob("*")) - before == {package / "__pycache__", *(package / "__pycache__").iterdir()}
+    assert {str(path) for path in (package / "__pycache__").iterdir()} == cached_modules(package)
+
+
+@pytest.mark.parametrize("flag", ["--inplace", "-i"])
+def test_build_ext_inplace_loads_no_setuptools(tmp_path, flag):
+    checkout, stub = tmp_path / "checkout", tmp_path / "stub" / "setuptools"
+    checkout.mkdir()
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("the in-place build imported setuptools")\n')
+    package = copy_checkout(checkout)
+    done = build_inplace(checkout, flag, PYTHONPATH=str(stub.parent))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert {str(path) for path in (package / "__pycache__").iterdir()} == cached_modules(package)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["build_ext"], "missing --inplace"),
+        (["build_ext", "--inplace", "--force"], "unrecognized argument: --force"),
+        (["build_ext", "-i", "--inplace"], "unrecognized argument: --inplace"),
+        (["-q", "build_ext", "--inplace"], "unrecognized argument: -q"),
+    ],
+    ids=["bare", "other-flag", "both-flags", "global-option"],
+)
+def test_build_ext_takes_only_inplace(tmp_path, args, error):
+    package = copy_checkout(tmp_path)
+    done = setup_py(tmp_path, *args)
+    assert done.returncode == 2
+    assert done.stderr == f"usage: setup.py build_ext --inplace\nsetup.py build_ext: error: {error}\n"
+    assert not (package / "__pycache__").exists()
+
+
+def test_setup_py_passes_the_project_metadata_to_setuptools(tmp_path):
+    copy_checkout(tmp_path)
+    done = setup_py(tmp_path, "--name", "--version")
+    assert (done.returncode, done.stdout) == (0, "cauchon\n0.1.0\n"), done.stderr
 
 
 def test_cli_loads_bytecode_after_the_build(tmp_path):
