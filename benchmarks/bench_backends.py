@@ -17,9 +17,11 @@ as the benchmark builds it (``python setup.py build_ext --inplace``, which
 byte-compiles the package) and one left unbuilt, so every call compiles
 the source. Before them it times that build step itself, best of
 ``--repeats`` builds of a copy holding no ``.pyc``. It counts the modules
-the count command loads beyond ``argparse`` and ``json``, and how many
-``cauchon`` modules it takes from bytecode and how many from source in each
-copy. Run from the repository root:
+the count command loads beyond those of a bare interpreter, reports which
+of ``argparse``, ``gettext`` and ``json`` it loads in each copy (the CLI
+reads that command line and writes its JSON without them), and counts the
+``cauchon`` modules it takes from bytecode and from source in each copy.
+Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
 
@@ -46,6 +48,8 @@ from cauchon.diagram import _iter_row_masks, white_coordinates
 ROOT = Path(__file__).resolve().parent.parent
 COLD_COMMAND = ["-m", "cauchon.cli", "count", "--rows", "5", "--cols", "4", "--histogram", "--format", "json"]
 COLD_TABLE = ["-m", "cauchon.cli", "table", "--max-rows", "4", "--max-cols", "5", "--format", "csv"]
+#: modules a command line needs only when argparse reads it or json writes its output
+PARSING = {"argparse", "gettext", "json"}
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -193,14 +197,18 @@ def cold_start(args: argparse.Namespace) -> None:
                 f"{1e3 * min(walls['unbuilt']):.1f}ms unbuilt (no .pyc)  "
                 f"(min of {args.repeats}, `cauchon {' '.join(command[2:])}`)"
             )
-        path = copies["built"]
-        extra = imported_modules(COLD_COMMAND, path) - imported_modules(["-c", "import argparse, json"], path)
+        loads = {label: imported_modules(COLD_COMMAND, path) for label, path in copies.items()}
+        extra = loads["built"] - imported_modules(["-c", "pass"], copies["built"])
         origins = {label: code_origins(COLD_COMMAND, path) for label, path in copies.items()}
     # under -m, cauchon.cli runs as __main__ and has no import line of its own
     own = sorted({*(name for name in extra if name.split(".")[0] == "cauchon"), "cauchon.cli"})
     stdlib = sorted(name for name in extra if name.split(".")[0] in sys.stdlib_module_names)
-    print(f"  beyond argparse and json the count loads {len(own)} cauchon modules ({', '.join(own)})")
+    print(f"  beyond a bare interpreter the count loads {len(own)} cauchon modules ({', '.join(own)})")
     print(f"  and {len(stdlib)} standard-library modules ({', '.join(stdlib)})")
+    print(
+        "  of argparse, gettext and json it loads: "
+        + ", ".join(f"{label} {', '.join(sorted(PARSING & names)) or 'none'}" for label, names in loads.items())
+    )
     print(
         "  its cauchon modules come from bytecode and from source: "
         + ", ".join(f"{label} {bytecode} and {source}" for label, (bytecode, source) in origins.items())

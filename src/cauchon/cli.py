@@ -9,15 +9,20 @@ Each command starts a fresh interpreter. A checkout built with ``python
 setup.py build_ext --inplace`` loads this file as bytecode; an unbuilt one,
 with no ``.pyc``, compiles it from source on every call. So it holds only
 what ``count`` and ``table`` run: their bodies, the one table of every
-command, the usage and guardrail checks, and ``main``. ``main`` builds the
-parser of the named command alone. The other bodies and the table of
-``check`` subjects live in ``cauchon.commands``, which only those
-commands load.
+command, the usage and guardrail checks, and ``main``. ``main`` reads a
+command line of exact flags and plain values itself, from that table, and
+hands every other one, help and usage errors among them, to the argparse
+parser of ``build_parser``. ``count`` and ``table`` print JSON through
+``_json``, so a plain call of either loads neither ``argparse`` nor
+``json``. The other bodies and the table of ``check`` subjects live in
+``cauchon.commands``, which only those commands load.
 """
 
-import argparse
+from __future__ import annotations
+
 import sys
 import time
+from types import SimpleNamespace
 
 from . import census
 
@@ -56,6 +61,21 @@ def _census_csv_row(record: census.CensusRecord) -> str:
     return ",".join(str(payload[key]) for key in _CSV_HEADER.split(","))
 
 
+def _json(value: int | list | dict) -> str:
+    """``json.dumps(value)`` for what census payloads hold: ints, lists, and dicts with str keys.
+
+    Any other type, bool among them, raises TypeError. Keys are written
+    unescaped, as payload keys are names and digit strings.
+    """
+    if type(value) is int:
+        return repr(value)
+    if type(value) is list:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if type(value) is not dict or not all(type(key) is str for key in value):
+        raise TypeError(f"not a census payload: {value!r}")
+    return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     record = census.run_census(args.rows, args.cols)
@@ -64,12 +84,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         print(_CSV_HEADER)
         print(_census_csv_row(record))
     elif args.format == "json":
-        import json
-
         payload = record.to_payload()
         if not args.histogram:
             payload.pop("nullity_histogram")
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         payload = record.to_payload()
         print(f"m: {record.m}")
@@ -96,14 +114,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for record in records:
             print(_census_csv_row(record))
     elif args.format == "json":
-        import json
-
         rows = []
         for record in records:
             payload = record.to_payload()
             payload.pop("nullity_histogram")
             rows.append(payload)
-        print(json.dumps(rows))
+        print(_json(rows))
     else:
         width = max(len(str(r.primitive)) for r in records) + 2
         header = "m\\n" + "".join(f"{n:>{width}}" for n in range(1, args.max_cols + 1))
@@ -161,6 +177,8 @@ def _check_cells(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -232,7 +250,9 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, which ``main`` builds only when argv names none."""
+    """The parser of every command, which ``main`` builds for each command line ``_read`` refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cauchon",
         description="Exact enumeration of Cauchon diagrams and primitivity of the "
@@ -244,22 +264,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named command's parser.
+#: the option-spec keys ``_read`` knows
+_READ_KEYS = {"type", "required", "default", "choices", "action", "help"}
 
-    Its parser is the one ``build_parser`` adds for it, with the same prog;
-    arguments it does not know go to the full parser, which reports them
-    with its own usage line.
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for an argv it can read exactly, else None.
+
+    It reads a command with an option table, then exact flags of that
+    command, each at most once. Each flag but a ``store_true`` one takes the
+    next token: an integer as ASCII digits, at least 1 for ``_positive_int``,
+    one of its ``choices``, or a str that does not start with ``-`` unless
+    it is ``-``. Required flags must be given. It refuses every argv of a
+    command whose options hold a key it does not know.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog=f"cauchon {argv[0]}")
-    _add_options(parser, argv[0])
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        return build_parser().parse_args(argv)
-    args.command = argv[0]
-    return args
+    options = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else None
+    if options is None or any(kwargs.keys() - _READ_KEYS for _, kwargs in options):
+        return None
+    unread = dict(options)
+    values = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = unread.pop(flag, None)  # a flag given twice is no longer unread
+        if kwargs is None:
+            return None
+        dest, kind = flag[2:].replace("-", "_"), kwargs.get("type")
+        if "action" in kwargs:
+            if kwargs["action"] != "store_true":
+                return None
+            values[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None:
+            return None
+        if kind is None and (text == "-" or not text.startswith("-")):
+            value = text
+        elif kind in (int, _positive_int) and text.isascii() and text.isdigit():
+            try:
+                value = int(text)  # raises beyond sys.get_int_max_str_digits(), as in argparse
+            except ValueError:
+                return None
+            if kind is _positive_int and value < 1:
+                return None
+        else:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    for flag, kwargs in unread.items():
+        if kwargs.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = kwargs.get("default", False if "action" in kwargs else None)
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read by ``_read`` where it can.
+
+    ``_read`` takes the benchmark's and most scripted command lines, which
+    then load no ``argparse``. The full parser takes the rest: help,
+    abbreviations, ``--flag=value``, repeated flags, signed or padded
+    numbers, and every error, which it reports with its own usage line.
+    """
+    return _read(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchon import backend, census, checks, cli
 from cauchon.cli import main
@@ -27,7 +29,8 @@ def outcome(capsys, argv):
     return code, captured.out, err
 
 
-#: help, parse errors and one valid line of each command; GRID is a grid file
+#: help, parse errors and one valid line of each command; GRID is a grid
+#: file, and - reads GRID_4x6 from stdin
 PARSER_LINES = [
     ["--help"],
     ["count", "--help"],
@@ -47,23 +50,113 @@ PARSER_LINES = [
     ["check", "power-of-two", "--max-rows", "2", "--max-cols", "3", "--format", "csv"],
     ["enumerate", "--rows", "2", "--cols", "2", "--format", "text"],
     ["matchings", "--grid", "GRID", "--format", "text"],
+    # lines the CLI leaves to the full parser: --flag=value, an
+    # abbreviation, a repeated flag, a value it must reject
+    ["count", "--rows=2", "--cols", "2"],
+    ["count", "--hist", "--rows", "2", "--cols", "2"],
+    ["count", "--rows", "3", "--rows", "2", "--cols", "2"],
+    ["count", "--rows", "2", "--cols", "2", "--max-cells", "0"],
+    ["pfaffian", "--grid", "-"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSER_LINES)
 def test_command_parser_matches_full_parser(capsys, monkeypatch, tmp_path, argv):
-    # main builds the named command's parser alone; parsing with the full
-    # tree of build_parser() is the oracle for what it prints, exits with
-    # and runs
+    # main reads exact command lines itself and hands the rest to the full
+    # parser; parsing every line with the full tree of build_parser() is
+    # the oracle for what it prints, exits with and runs
     grid = tmp_path / "grid.txt"
     grid.write_text(GRID_4x6)
     argv = [str(grid) if arg == "GRID" else arg for arg in argv]
-    lean = outcome(capsys, argv)
+
+    def run():
+        monkeypatch.setattr("sys.stdin", io.StringIO(GRID_4x6))
+        return outcome(capsys, argv)
+
+    lean = run()
     monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
-    assert outcome(capsys, argv) == lean
+    assert run() == lean
     if lean[0] == 0 and "--help" not in argv:
         monkeypatch.undo()
         assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+#: values the reader must read as argparse does, or refuse
+VALUES = ["0", "00", "1", "2", "3", "-3", "+5", " 5", "\u0663", "-", "-x", "", "jsonl", "text", "csv", "json", "x"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command with an option table, with at most one odd option.
+
+    Each option is an exact flag and a value of its own kind, but for the
+    odd one, which takes a value from VALUES, or is abbreviated or joined
+    to its value with ``=``. Half the lines hold every required flag, and
+    one in five repeats a flag.
+    """
+    command = draw(st.sampled_from([name for name, spec in cli._COMMANDS.items() if spec[1] is not None]))
+    options = cli._COMMANDS[command][1]
+    picked = draw(st.lists(st.sampled_from(options), max_size=len(options), unique_by=lambda option: option[0]))
+    if draw(st.booleans()):
+        picked += [option for option in options if option[1].get("required") and option not in picked]
+    if picked and draw(st.integers(0, 4)) == 0:
+        picked.append(draw(st.sampled_from(picked)))
+    odd = draw(st.integers(-1, len(picked) - 1))
+    oddness = draw(st.sampled_from(["value", "value", "abbreviated", "joined"]))
+    argv = [command]
+    for i, (flag, kwargs) in enumerate(draw(st.permutations(picked))):
+        form = oddness if i == odd else "exact"
+        fitting = kwargs.get("choices") or (["1", "2", "3"] if "type" in kwargs else ["-", "grid.txt"])
+        value = draw(st.sampled_from(VALUES if form == "value" else fitting))
+        if form == "abbreviated":
+            flag = flag[: draw(st.integers(3, len(flag) - 1))]
+        if "action" in kwargs:
+            argv.append(f"{flag}={value}" if form == "joined" else flag)
+        else:
+            argv += [f"{flag}={value}"] if form == "joined" else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_read_agrees_with_argparse(argv):
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--rows=2", "--cols", "2"],
+        ["count", "--row", "2", "--cols", "2"],
+        ["count", "--rows", "2", "--rows", "2", "--cols", "2"],
+        ["count", "--rows", "2", "--cols", "2", "--histogram", "--histogram"],
+        ["count", "--rows", "-3", "--cols", "2"],
+        ["count", "--rows", "+5", "--cols", "2"],
+        ["count", "--rows", " 5", "--cols", "2"],
+        ["count", "--rows", "\u0663", "--cols", "2"],
+        ["count", "--rows", "2", "--cols", "2", "--workers", "0"],
+        ["count", "--rows", "2", "--cols", "2", "--format", "jsonl"],
+        ["count", "--rows", "2"],
+        ["count", "--rows", "2", "--cols"],
+        ["count", "--help"],
+        ["pfaffian", "--grid", "-x"],
+        ["pfaffian", "--grid", "--show-matrix"],
+        ["check", "formula-2xn"],
+        ["--help"],
+        [],
+    ],
+)
+def test_read_leaves_to_argparse_what_it_cannot_read_exactly(argv):
+    assert cli._read(argv) is None
+
+
+def test_read_refuses_an_option_spec_it_does_not_know(monkeypatch):
+    count = cli._COMMANDS["count"]
+    options = [*count[1], ("--total", {"type": int, "metavar": "N"})]
+    monkeypatch.setitem(cli._COMMANDS, "count", (count[0], options, *count[2:]))
+    assert cli._read(["count", "--rows", "2", "--cols", "2"]) is None
 
 
 #: under ``python -m cauchon.cli``: a usage, guardrail or grid error of each
@@ -324,6 +417,27 @@ def test_table_json_is_the_census_payloads(capsys):
             payload.pop("nullity_histogram")
             expected.append(payload)
     assert out == json.dumps(expected) + "\n"
+
+
+def test_json_writes_what_json_dumps_writes():
+    records = census.run_censuses((m, n) for m in range(1, 7) for n in range(0, 7))
+    rows = []
+    for record in records:
+        payload = record.to_payload()
+        assert cli._json(payload) == json.dumps(payload)
+        payload.pop("nullity_histogram")
+        assert cli._json(payload) == json.dumps(payload)
+        rows.append(payload)
+    assert cli._json(rows) == json.dumps(rows)
+    assert cli._json([]) == json.dumps([]) and cli._json({}) == json.dumps({})
+
+
+@pytest.mark.parametrize(
+    "value", [True, [1, False], 1.5, Fraction(1, 2), {"n": 0.5}, {1: 2}, "text", None]
+)
+def test_json_refuses_what_no_payload_holds(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_table_text(capsys):

@@ -32,10 +32,15 @@ HEAVY = (
     "cauchon.commands",
 )
 
+#: standard-library modules a command line the CLI reads itself must not
+#: load: argparse (and the gettext it imports) parse only what the CLI
+#: cannot read, and count and table write their JSON without json
+PARSING = ("argparse", "gettext", "json")
+
 #: runs the CLI as ``python -m cauchon.cli ARGV`` would (or only imports it,
 #: for no ARGV) and prints the exit code and which of the comma-separated
-#: watched modules it loaded; it imports no json itself, so that the CLI's
-#: own import of json shows
+#: watched modules it loaded; it imports none of PARSING itself, so that the
+#: CLI's own imports of them show
 GRAPH_CHILD = """
 import runpy, sys
 watched, argv = set(sys.argv[1].split(",")), sys.argv[2:]
@@ -68,15 +73,24 @@ def run_child(args: list[str]) -> subprocess.CompletedProcess:
         ["count", "--rows", "3", "--cols", "4"],
         [],
         ["count", "--rows", "3", "--cols", "4", "--format", "text"],
+        # the benchmark's warm-up
+        ["count", "--rows", "3", "--cols", "4", "--histogram", "--format", "json", "--workers", "1"],
     ],
 )
 def test_count_and_table_load_only_the_census(argv):
-    # json too is loaded only by the commands that print it
-    done = run_child(["-c", GRAPH_CHILD, ",".join([*HEAVY, "json"]), *argv])
+    done = run_child(["-c", GRAPH_CHILD, ",".join([*HEAVY, *PARSING]), *argv])
     assert done.returncode == 0, done.stderr
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0", done.stderr
-    assert loaded == (["json"] if "json" in argv else [])
+    assert loaded == []
+
+
+def test_a_usage_error_still_loads_argparse():
+    # the CLI hands what it cannot read to the full parser, which reports
+    # the error
+    done = run_child(["-c", GRAPH_CHILD, "argparse", "count", "--rows", "x", "--cols", "2"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["2", "argparse"]
 
 
 def test_public_names_resolve_lazily():
@@ -138,3 +152,4 @@ def test_layer_benchmark_runs():
     done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
     assert "0 mismatches against the kernel" in done.stdout
+    assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
