@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["active_backend", "pfaffian_and_nullity", "skew_matrix", "classify_cells", "determinant"]
+__all__ = ["active_backend", "skew_matrix", "classify_cells", "determinant"]
 
 
 def active_backend() -> str:
@@ -77,17 +77,6 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
         s += 2
     nullity = d - 2 * pairs
     return (0 if nullity else sign * prev), nullity
-
-
-def pfaffian_and_nullity(matrix: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Exact Pfaffian and nullity of a skew-symmetric integer matrix.
-
-    Only the entries above the diagonal are read. The empty matrix has
-    Pfaffian 1 and nullity 0; odd dimensions have Pfaffian 0.
-    """
-    d = len(matrix)
-    a = [list(row) for row in matrix]
-    return _condense(a, d)
 
 
 def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:

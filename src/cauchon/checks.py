@@ -4,8 +4,9 @@ Closed formulas live in a small registry keyed by formula id, and the
 check_* and scan_* helpers turn the known identities and conjectures into
 executable reports. Each returns a ``CheckReport``: a header, one row per
 tested size keyed by the header's column names, and the failure messages.
-Conjectured formulas are only ever reported as "no counterexample found";
-nothing here claims a proof.
+Each check runs as a ``cauchon check`` subject, but ``check_primitive_1xn``,
+which the acceptance tests run. Conjectured formulas are only ever reported
+as "no counterexample found"; nothing here claims a proof.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .backend import determinant
 from .census import run_census, run_censuses
 from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
 from .diagram import (
@@ -39,9 +39,6 @@ __all__ = [
     "check_primitive_1xn",
     "check_lemma_decomposition",
     "proportion",
-    "fit_power_sum_coefficients",
-    "power_sum_value",
-    "conjectured_leading_coefficient",
 ]
 
 # --- closed formulas ---------------------------------------------------------
@@ -249,52 +246,3 @@ def proportion(m: int, n: int) -> Fraction:
     """P(m,n) / |C_{m,n}| as an exact (reduced) rational."""
     return run_census(m, n).proportion()
 
-
-# --- exploratory power-sum fit ------------------------------------------------
-#
-# Reporting aid for the conjectured shape P(m, n) = sum_j c_j * j**n. The
-# exponent bases run over 1-m .. m+1 without 0 (base 0 contributes nothing
-# for n >= 1); the proven two-row formula and the conjectured three-row one
-# both need the negative bases down to -(m-1). Nothing here is a proof: the
-# fit interpolates censused values and cross-checks the leftover points.
-
-
-def fit_power_sum_coefficients(
-    m: int, values: Mapping[int, int]
-) -> dict[int, Fraction]:
-    """Interpolate c_j with P(m,n) = sum c_j * j**n from censused values.
-
-    ``values`` maps n to P(m,n) and must contain at least 2m + 1 points;
-    extra points are used as cross-checks and raise ValueError when the
-    interpolant misses them.
-    """
-    bases = [j for j in range(1 - m, m + 2) if j != 0]
-    ns = sorted(values)
-    if len(ns) < len(bases):
-        raise ValueError(f"need at least {len(bases)} data points, got {len(ns)}")
-    # Cramer's rule: c_j = det(M_j) / det(M) for M[i][j] = bases[j] ** ns[i],
-    # where M_j is M with column j replaced by the values
-    matrix = [[base**n for base in bases] for n in ns[: len(bases)]]
-    det = determinant(matrix)
-    if det == 0:
-        raise ValueError("interpolation system is singular")
-    coeffs = {}
-    for j, base in enumerate(bases):
-        m_j = [row[:j] + [values[n]] + row[j + 1 :] for n, row in zip(ns, matrix)]
-        coeffs[base] = Fraction(determinant(m_j), det)
-    for n in ns[len(bases):]:
-        if power_sum_value(coeffs, n) != values[n]:
-            raise ValueError(f"power-sum fit fails cross-check at n={n}")
-    return coeffs
-
-
-def power_sum_value(coeffs: Mapping[int, Fraction], n: int) -> Fraction:
-    return sum((c * base**n for base, c in coeffs.items()), start=Fraction(0))
-
-
-def conjectured_leading_coefficient(m: int) -> Fraction:
-    """(2m-1)!! / 2^m, the conjectured coefficient of (m+1)^n."""
-    num = 1
-    for odd in range(1, 2 * m, 2):
-        num *= odd
-    return Fraction(num, 2**m)

@@ -7,17 +7,21 @@ guardrail checks before it calls a body; a body returns False when a check
 failed. This module never imports ``cauchon.cli``, which under ``python -m
 cauchon.cli`` is ``__main__``, so that every exception its ``main`` catches
 comes from one copy of that module. Grid errors are ``diagram.GridError``.
+``cauchon.cli`` also loads this module for ``CHECK_SUBJECTS`` alone, to
+build the ``check`` parsers for every command line it hands to argparse, so
+only the bodies import ``cauchon.diagram``.
 """
 
-import argparse
+from __future__ import annotations
+
 import json
 import sys
-
-from .diagram import GridError, enumerate_diagrams, format_grid, parse_grid
 
 
 def _read_grid(spec: str):
     """The diagram in the file ``spec`` (``-`` for stdin); raises GridError."""
+    from .diagram import GridError, parse_grid
+
     try:
         if spec == "-":
             text = sys.stdin.read()
@@ -129,6 +133,7 @@ def run_check(args: argparse.Namespace) -> bool:
 
 
 def run_enumerate(args: argparse.Namespace) -> bool:
+    from .diagram import enumerate_diagrams, format_grid
     from .pfaffian import classify
 
     for diagram in enumerate_diagrams(args.rows, args.cols):

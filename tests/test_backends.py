@@ -105,12 +105,17 @@ def random_skew(rng, d, lo=-1, hi=1):
     return a
 
 
+def _condense(matrix):
+    """(Pfaffian, nullity) of ``backend._condense`` on a copy of the rows, which it destroys."""
+    return backend._condense([list(row) for row in matrix], len(matrix))
+
+
 def test_python_kernel_against_reference():
     rng = random.Random(101)
     for _ in range(300):
         d = rng.randrange(0, 9)
         a = random_skew(rng, d)
-        pf, nul = backend.pfaffian_and_nullity(a)
+        pf, nul = _condense(a)
         assert pf == reference_pfaffian(a)
         assert nul == d - reference_rank(a)
 
@@ -120,7 +125,7 @@ def test_python_kernel_with_large_entries():
     for _ in range(100):
         d = rng.randrange(0, 7)
         a = random_skew(rng, d, lo=-9, hi=9)
-        pf, nul = backend.pfaffian_and_nullity(a)
+        pf, nul = _condense(a)
         assert pf == reference_pfaffian(a)
         assert nul == d - reference_rank(a)
 
@@ -318,7 +323,7 @@ def test_kernel_passes_over_vanishing_rows_before_later_pivots():
         else:
             a = low_rank_skew(rng, d, pairs)
         assert max(abs(v) for row in a for v in row) <= 10**12
-        pf, nul = backend.pfaffian_and_nullity(a)
+        pf, nul = _condense(a)
         assert (pf, nul) == (reference_pfaffian(a), d - reference_rank(a)), a
 
 
@@ -345,4 +350,4 @@ def test_kernel_reads_only_the_upper_triangle():
             for i in range(d)
         ]
         expected = (reference_pfaffian(a), d - reference_rank(a))
-        assert backend.pfaffian_and_nullity(junk) == expected, a
+        assert _condense(junk) == expected, a

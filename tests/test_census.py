@@ -11,10 +11,7 @@ from cauchon.checks import (
     UnknownFormulaError,
     check_formula,
     check_relation_eqc,
-    conjectured_leading_coefficient,
-    fit_power_sum_coefficients,
     formula_value,
-    power_sum_value,
     proportion,
     scan_power_of_two,
 )
@@ -410,6 +407,52 @@ def test_payload_proportion_is_reduced(m, n):
 
 
 # --- exploratory power-sum fit ------------------------------------------------------
+#
+# Reporting aid for the conjectured shape P(m, n) = sum_j c_j * j**n. The
+# exponent bases run over 1-m .. m+1 without 0 (base 0 contributes nothing
+# for n >= 1); the proven two-row formula and the conjectured three-row one
+# both need the negative bases down to -(m-1). Nothing here is a proof: the
+# fit interpolates censused values and cross-checks the leftover points. No
+# command runs it yet, so it lives with its tests.
+
+
+def fit_power_sum_coefficients(m: int, values: dict[int, int]) -> dict[int, Fraction]:
+    """Interpolate c_j with P(m,n) = sum c_j * j**n from censused values.
+
+    ``values`` maps n to P(m,n) and must contain at least 2m + 1 points;
+    extra points are used as cross-checks and raise ValueError when the
+    interpolant misses them.
+    """
+    bases = [j for j in range(1 - m, m + 2) if j != 0]
+    ns = sorted(values)
+    if len(ns) < len(bases):
+        raise ValueError(f"need at least {len(bases)} data points, got {len(ns)}")
+    # Cramer's rule: c_j = det(M_j) / det(M) for M[i][j] = bases[j] ** ns[i],
+    # where M_j is M with column j replaced by the values
+    matrix = [[base**n for base in bases] for n in ns[: len(bases)]]
+    det = backend.determinant(matrix)
+    if det == 0:
+        raise ValueError("interpolation system is singular")
+    coeffs = {}
+    for j, base in enumerate(bases):
+        m_j = [row[:j] + [values[n]] + row[j + 1 :] for n, row in zip(ns, matrix)]
+        coeffs[base] = Fraction(backend.determinant(m_j), det)
+    for n in ns[len(bases):]:
+        if power_sum_value(coeffs, n) != values[n]:
+            raise ValueError(f"power-sum fit fails cross-check at n={n}")
+    return coeffs
+
+
+def power_sum_value(coeffs: dict[int, Fraction], n: int) -> Fraction:
+    return sum((c * base**n for base, c in coeffs.items()), start=Fraction(0))
+
+
+def conjectured_leading_coefficient(m: int) -> Fraction:
+    """(2m-1)!! / 2^m, the conjectured coefficient of (m+1)^n."""
+    num = 1
+    for odd in range(1, 2 * m, 2):
+        num *= odd
+    return Fraction(num, 2**m)
 
 
 def test_fit_recovers_two_row_formula():

@@ -1,9 +1,11 @@
-"""The package's import graph: what each command loads, and the lazy public API.
+"""The package's import graph, the functions the commands reach, and the lazy public API.
 
 These run in child interpreters, because the test process has long loaded
-every submodule and would hide a lazy import that is missing or broken.
+every submodule and would hide a lazy import that is missing or broken, and
+has filled caches that would hide a call.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cauchon
+from cauchon.commands import CHECK_SUBJECTS
 
 SRC = str(Path(cauchon.__file__).resolve().parents[1])
 
@@ -87,10 +90,25 @@ def test_count_and_table_load_only_the_census(argv):
 
 def test_a_usage_error_still_loads_argparse():
     # the CLI hands what it cannot read to the full parser, which reports
-    # the error
-    done = run_child(["-c", GRAPH_CHILD, "argparse", "count", "--rows", "x", "--cols", "2"])
+    # the error or prints the help; building it loads cauchon.commands for
+    # the check subjects, but no diagram module
+    for argv, code in [(["count", "--rows", "x", "--cols", "2"], "2"), (["count", "--help"], "0")]:
+        done = run_child(["-c", GRAPH_CHILD, "argparse,cauchon.diagram,dataclasses,inspect", *argv])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == [code, "argparse"], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pfaffian", "--grid", "GRID"], ["enumerate", "--rows", "2", "--cols", "2"], ["matchings", "--grid", "GRID"]],
+)
+def test_grid_commands_load_no_argparse(tmp_path, argv):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("..#\n...\n")
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    done = run_child(["-c", GRAPH_CHILD, "argparse,gettext", *argv])
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1].split() == ["2", "argparse"]
+    assert done.stdout.splitlines()[-1].split() == ["0"]
 
 
 def test_public_names_resolve_lazily():
@@ -153,3 +171,136 @@ def test_layer_benchmark_runs():
     assert done.returncode == 0, done.stderr
     assert "0 mismatches against the kernel" in done.stdout
     assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
+
+
+# --- reachability ---------------------------------------------------------------
+
+#: functions no command reaches, each with the reason it stays; every other
+#: unreached function must be public API. An entry that a command reaches,
+#: or that is gone, fails the test
+UNREACHED = {
+    "__init__.__dir__": "module protocol: dir(cauchon) lists the lazy public names",
+    "backend.active_backend": "perfbench prints it (ROADMAP item 1, half B)",
+    "backend.determinant": "the Bareiss oracle behind the public pfaffian.determinant",
+    "census._diagram_wires": "the fold behind the public pfaffian.nullity",
+    "checks.check_primitive_1xn": "acceptance criterion 4; ROADMAP item 9 replaces it",
+}
+
+#: classes that public functions return and ``cauchon.__all__`` does not name
+RETURNED = {"checks.CheckReport"}
+
+#: runs ``cauchon.cli.main`` on each command line of the JSON argv list under
+#: a profiler, and prints the exit codes and the (file, first line) of every
+#: code object called
+REACH_CHILD = """
+import contextlib, io, json, sys
+reached, codes = set(), []
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from cauchon import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+print(json.dumps([codes, sorted(reached)]))
+"""
+
+
+def command_lines(grid: str) -> list[list[str]]:
+    """Every command in each of its formats, and every check subject in each, at size 2."""
+    lines = []
+    for fmt in ("text", "csv", "json"):
+        lines += [
+            ["count", "--rows", "2", "--cols", "2", "--format", fmt],
+            ["table", "--max-rows", "2", "--max-cols", "2", "--format", fmt],
+        ]
+        for subject, (sizes, *_) in CHECK_SUBJECTS.items():
+            options = [token for name in sizes for token in ("--" + name.replace("_", "-"), "2")]
+            lines.append(["check", subject, *options, "--format", fmt])
+    for fmt in ("text", "json"):
+        lines += [
+            ["count", "--rows", "2", "--cols", "2", "--histogram", "--format", fmt],
+            ["pfaffian", "--grid", grid, "--format", fmt],
+            ["pfaffian", "--grid", grid, "--show-matrix", "--show-nullity", "--format", fmt],
+        ]
+    for fmt in ("jsonl", "text"):
+        lines += [
+            ["enumerate", "--rows", "2", "--cols", "2", "--format", fmt],
+            ["matchings", "--grid", grid, "--format", fmt],
+        ]
+    return lines
+
+
+def functions(path: Path) -> dict[str, set[int]]:
+    """Qualified name -> def and decorator lines, for every function of the module at ``path``.
+
+    Nested functions count too. A decorated function's code object starts
+    on its first decorator's line.
+    """
+    found = {}
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    found[name] = {child.lineno, *(d.lineno for d in child.decorator_list)}
+                walk(child, name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
+    return found
+
+
+def is_public(name: str) -> bool:
+    """Whether ``module.qualname`` is public API.
+
+    Public are the names of ``cauchon.__all__`` in their home module, and
+    the methods of a public class (one ``cauchon.__all__`` names, or one of
+    ``RETURNED``) that are dunders or have no leading underscore.
+    """
+    module, *path = name.split(".")
+
+    def exported(top: str) -> bool:
+        return top in cauchon.__all__ and getattr(cauchon, top).__module__ == f"cauchon.{module}"
+
+    if len(path) == 1:
+        return exported(path[0])
+    if len(path) == 2:
+        cls, method = path
+        dunder = method.startswith("__") and method.endswith("__")
+        return (dunder or not method.startswith("_")) and (exported(cls) or f"{module}.{cls}" in RETURNED)
+    return False
+
+
+def test_every_function_has_a_caller_or_a_reason(tmp_path):
+    # the commands reach every function of src/cauchon that is not public
+    # API and not listed in UNREACHED with its reason
+    grids = {"grid": "..#.\n#...\n", "ragged": "..\n...\n", "letter": "..\n.x\n", "not-cauchon": "..\n.#\n"}
+    for name, text in grids.items():
+        (tmp_path / name).write_text(text)
+    lines = command_lines(str(tmp_path / "grid"))
+    errors = [
+        (["count", "--rows", "0", "--cols", "2"], 2),  # usage error
+        (["count", "--rows", "9", "--cols", "9"], 3),  # guardrail
+        *[(["pfaffian", "--grid", str(tmp_path / name)], 4) for name in ("ragged", "letter", "not-cauchon")],
+    ]
+    done = run_child(["-c", REACH_CHILD, json.dumps(lines + [argv for argv, _ in errors])])
+    assert done.returncode == 0, done.stderr
+    codes, reached = json.loads(done.stdout)
+    assert codes == [0] * len(lines) + [code for _, code in errors]
+    reached = {(path, line) for path, line in reached}
+    unreached = {
+        name
+        for path in Path(SRC, "cauchon").glob("*.py")
+        for name, starts in functions(path).items()
+        if not {(str(path), line) for line in starts} & reached
+    }
+    assert sorted(name for name in unreached if name not in UNREACHED and not is_public(name)) == []
+    assert sorted(set(UNREACHED) - unreached) == []
