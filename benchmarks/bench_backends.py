@@ -11,8 +11,9 @@ pass over row states, and the bytes each state of the shape's last level
 takes under ``tracemalloc``: the peak of the sweep, which holds two levels
 at once, and what the last level holds. Last, it times
 ``cauchon count --rows 5 --cols 4 --histogram --format json`` and
-``cauchon table --max-rows 4 --max-cols 5 --format csv`` in fresh
-interpreters writing no ``.pyc``, on two copies of the checkout: one built
+``cauchon table --max-rows 4 --max-cols 5 --format csv`` and ``cauchon
+pfaffian --grid`` on a small fixed grid in fresh interpreters writing no
+``.pyc``, on two copies of the checkout: one built
 as the benchmark builds it (``python setup.py build_ext --inplace``, which
 byte-compiles the package) and one left unbuilt, so every call compiles
 the source. Before them it times that build step itself, best of
@@ -20,7 +21,10 @@ the source. Before them it times that build step itself, best of
 the count command loads beyond those of a bare interpreter, reports which
 of ``argparse``, ``gettext`` and ``json`` it loads in each copy (the CLI
 reads that command line and writes its JSON without them), and counts the
-``cauchon`` modules it takes from bytecode and from source in each copy.
+``cauchon`` modules it takes from bytecode and from source in each copy. It
+reports which of ``dataclasses``, ``inspect`` and ``json`` the pfaffian
+loads in each copy (its value types are named tuples, and its text output
+needs no JSON).
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_backends.py --rows 4 --cols 4
@@ -50,6 +54,10 @@ COLD_COMMAND = ["-m", "cauchon.cli", "count", "--rows", "5", "--cols", "4", "--h
 COLD_TABLE = ["-m", "cauchon.cli", "table", "--max-rows", "4", "--max-cols", "5", "--format", "csv"]
 #: modules a command line needs only when argparse reads it or json writes its output
 PARSING = {"argparse", "gettext", "json"}
+#: modules a text-format pfaffian needs only if a value type were a dataclass or it wrote JSON
+VALUE_TYPES = {"dataclasses", "inspect", "json"}
+#: the pfaffian's grid, written to the temporary directory
+GRID = "..#.\n#...\n"
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -171,8 +179,11 @@ def classify(args: argparse.Namespace) -> None:
 
 
 def cold_start(args: argparse.Namespace) -> None:
-    """Time the build, and count and table cold, built and unbuilt; list what the count loads and whence its code."""
+    """Time the build, and count, table and pfaffian cold, built and unbuilt; list what they load and whence."""
     with tempfile.TemporaryDirectory() as tmp:
+        grid = Path(tmp, "grid")
+        grid.write_text(GRID)
+        cold_pfaffian = ["-m", "cauchon.cli", "pfaffian", "--grid", str(grid)]
         copies = {}
         for label in ("built", "unbuilt"):
             (Path(tmp) / label).mkdir()
@@ -185,7 +196,7 @@ def cold_start(args: argparse.Namespace) -> None:
             f"build       : {1e3 * min(builds):8.1f}ms  "
             f"(min of {args.repeats} fresh builds, `python setup.py build_ext --inplace` on a copy with no .pyc)"
         )
-        for command in (COLD_COMMAND, COLD_TABLE):
+        for command in (COLD_COMMAND, COLD_TABLE, cold_pfaffian):
             walls = {label: [] for label in copies}
             for _ in range(args.repeats):
                 for label, path in copies.items():
@@ -195,11 +206,12 @@ def cold_start(args: argparse.Namespace) -> None:
             print(
                 f"cold start  : {1e3 * min(walls['built']):8.1f}ms built (.pyc), "
                 f"{1e3 * min(walls['unbuilt']):.1f}ms unbuilt (no .pyc)  "
-                f"(min of {args.repeats}, `cauchon {' '.join(command[2:])}`)"
+                f"(min of {args.repeats}, `cauchon {' '.join(command[2:]).replace(str(grid), 'GRID')}`)"
             )
         loads = {label: imported_modules(COLD_COMMAND, path) for label, path in copies.items()}
         extra = loads["built"] - imported_modules(["-c", "pass"], copies["built"])
         origins = {label: code_origins(COLD_COMMAND, path) for label, path in copies.items()}
+        value_loads = {label: imported_modules(cold_pfaffian, path) for label, path in copies.items()}
     # under -m, cauchon.cli runs as __main__ and has no import line of its own
     own = sorted({*(name for name in extra if name.split(".")[0] == "cauchon"), "cauchon.cli"})
     stdlib = sorted(name for name in extra if name.split(".")[0] in sys.stdlib_module_names)
@@ -208,6 +220,10 @@ def cold_start(args: argparse.Namespace) -> None:
     print(
         "  of argparse, gettext and json it loads: "
         + ", ".join(f"{label} {', '.join(sorted(PARSING & names)) or 'none'}" for label, names in loads.items())
+    )
+    print(
+        "  of dataclasses, inspect and json the pfaffian loads: "
+        + ", ".join(f"{label} {', '.join(sorted(VALUE_TYPES & names)) or 'none'}" for label, names in value_loads.items())
     )
     print(
         "  its cauchon modules come from bytecode and from source: "

@@ -11,8 +11,7 @@ as "no counterexample found"; nothing here claims a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import comb
 from typing import Callable, Iterable
 
@@ -55,12 +54,14 @@ class UnknownFormulaError(ValueError):
     """Formula id outside the registry."""
 
 
-def formula_value(formula_id: str, n: int | None = None, m: int | None = None) -> Fraction:
-    """Exact value of a registered closed form.
+def formula_value(formula_id: str, n: int | None = None, m: int | None = None):
+    """Exact value of a registered closed form, as a ``fractions.Fraction``.
 
     Sequence formulas take ``n`` (>= 1); the limiting proportion takes the
     row count ``m``.
     """
+    from fractions import Fraction
+
     if formula_id == PROPORTION_LIMIT:
         if m is None or m < 1:
             raise ValueError("proportion_limit needs a row count m >= 1")
@@ -83,17 +84,16 @@ def formula_value(formula_id: str, n: int | None = None, m: int | None = None) -
     raise UnknownFormulaError(f"unknown formula id {formula_id!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "header rows failures")):
     """Outcome of one check: rows keyed by the ``header`` columns, and failures.
 
-    Each failure is a message ready to print. No failures means the identity
-    held on the tested range or, for a conjecture, no counterexample was found.
+    ``header`` is a tuple of column names, ``rows`` a list of dicts and
+    ``failures`` a list of messages, each ready to print. No failures means
+    the identity held on the tested range or, for a conjecture, no
+    counterexample was found.
     """
 
-    header: tuple[str, ...]
-    rows: list[dict]
-    failures: list[str]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -242,7 +242,7 @@ def check_lemma_decomposition(max_n: int) -> CheckReport:
     return CheckReport(("n", "diagrams", "subsets", "mismatches"), rows, failures)
 
 
-def proportion(m: int, n: int) -> Fraction:
-    """P(m,n) / |C_{m,n}| as an exact (reduced) rational."""
+def proportion(m: int, n: int):
+    """P(m,n) / |C_{m,n}| as a reduced ``fractions.Fraction``."""
     return run_census(m, n).proportion()
 

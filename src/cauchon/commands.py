@@ -9,12 +9,12 @@ cauchon.cli`` is ``__main__``, so that every exception its ``main`` catches
 comes from one copy of that module. Grid errors are ``diagram.GridError``.
 ``cauchon.cli`` also loads this module for ``CHECK_SUBJECTS`` alone, to
 build the ``check`` parsers for every command line it hands to argparse, so
-only the bodies import ``cauchon.diagram``.
+only the bodies import ``cauchon.diagram``, and only those writing JSON
+import ``json``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 
@@ -43,6 +43,8 @@ def run_pfaffian(args: argparse.Namespace) -> bool:
     pf, nul = classify(diagram)
     primitive = pf != 0
     if args.format == "json":
+        import json
+
         payload: dict = {
             "rows": diagram.rows,
             "cols": diagram.cols,
@@ -111,6 +113,8 @@ def run_check(args: argparse.Namespace) -> bool:
     *_, run, verdict = CHECK_SUBJECTS[args.subject]
     report = run(checks, args)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.rows, default=str))
     elif args.format == "csv":
         print(",".join(report.header))
@@ -133,6 +137,8 @@ def run_check(args: argparse.Namespace) -> bool:
 
 
 def run_enumerate(args: argparse.Namespace) -> bool:
+    import json
+
     from .diagram import enumerate_diagrams, format_grid
     from .pfaffian import classify
 
@@ -161,6 +167,8 @@ def run_enumerate(args: argparse.Namespace) -> bool:
 
 
 def run_matchings(args: argparse.Namespace) -> bool:
+    import json
+
     from .matching import enumerate_matchings
 
     diagram = _read_grid(args.grid)

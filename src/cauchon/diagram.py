@@ -15,7 +15,7 @@ white < black), smallest first, so the all-white diagram always comes first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
@@ -91,8 +91,7 @@ def _row_violation(mask: int, above_black: int) -> int:
     return beyond_run & ~above_black
 
 
-@dataclass(frozen=True)
-class CauchonDiagram:
+class CauchonDiagram(namedtuple("CauchonDiagram", "rows cols row_masks")):
     """An m x n Cauchon diagram.
 
     ``row_masks[i]`` has bit (col - 1) set iff square (i + 1, col) is black.
@@ -100,28 +99,27 @@ class CauchonDiagram:
     genuine Cauchon diagram. Instances are immutable values.
     """
 
-    rows: int
-    cols: int
-    row_masks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 1:
-            raise ValueError(f"rows must be >= 1, got {self.rows}")
-        if self.cols < 0:
-            raise ValueError(f"cols must be >= 0, got {self.cols}")
-        if len(self.row_masks) != self.rows:
-            raise ValueError(
-                f"expected {self.rows} row masks, got {len(self.row_masks)}"
-            )
-        full = (1 << self.cols) - 1
+    def __new__(cls, rows: int, cols: int, row_masks: tuple[int, ...]):
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        if cols < 0:
+            raise ValueError(f"cols must be >= 0, got {cols}")
+        if len(row_masks) != rows:
+            raise ValueError(f"expected {rows} row masks, got {len(row_masks)}")
+        full = (1 << cols) - 1
         above = full
-        for i, mask in enumerate(self.row_masks, start=1):
+        for i, mask in enumerate(row_masks, start=1):
             if mask & ~full:
-                raise ValueError(f"row {i} mask {mask:#x} has bits beyond column {self.cols}")
+                raise ValueError(f"row {i} mask {mask:#x} has bits beyond column {cols}")
             bad = _row_violation(mask, above)
             if bad:
                 raise NotCauchonError(i, (bad & -bad).bit_length())
             above &= mask
+        return super().__new__(cls, rows, cols, row_masks)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @classmethod
     def all_white(cls, rows: int, cols: int) -> "CauchonDiagram":

@@ -14,7 +14,7 @@ kernel at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from .criterion import fully_white_columns
@@ -37,14 +37,16 @@ class MalformedMatchingError(ValueError):
     """Edge list that is not a matching with i < j on every edge."""
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "edges")):
     """A perfect matching, as a tuple of (i, j) edges with i < j."""
 
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _endpoints(self.edges)
+    def __new__(cls, edges: tuple[tuple[int, int], ...]):
+        _endpoints(edges)
+        return super().__new__(cls, edges)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def sign(self) -> int:

@@ -22,7 +22,7 @@ no code with it. All arithmetic is exact, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import backend, census
 from .diagram import CauchonDiagram, white_coordinates
@@ -39,24 +39,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SkewAdjacency:
+class SkewAdjacency(namedtuple("SkewAdjacency", "d entries")):
     """Skew-symmetric 0/+-1 adjacency matrix of the white-square graph."""
 
-    d: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.d:
-            raise ValueError(f"expected {self.d} rows, got {len(self.entries)}")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.d:
-                raise ValueError(f"row {i} has length {len(row)}, expected {self.d}")
+    def __new__(cls, d: int, entries: tuple[tuple[int, ...], ...]):
+        if len(entries) != d:
+            raise ValueError(f"expected {d} rows, got {len(entries)}")
+        for i, row in enumerate(entries):
+            if len(row) != d:
+                raise ValueError(f"row {i} has length {len(row)}, expected {d}")
             for j, v in enumerate(row):
                 if v not in (-1, 0, 1):
                     raise ValueError(f"entry ({i}, {j}) is {v}, expected -1, 0 or +1")
-                if v != -self.entries[j][i]:
+                if v != -entries[j][i]:
                     raise ValueError(f"entries ({i}, {j}) and ({j}, {i}) are not antisymmetric")
+        return super().__new__(cls, d, entries)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
 
 def skew_adjacency(diagram: CauchonDiagram) -> SkewAdjacency:

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import cauchon
+from cauchon import CauchonDiagram, MalformedMatchingError, Matching, NotCauchonError, SkewAdjacency
+from cauchon.checks import CheckReport
 from cauchon.commands import CHECK_SUBJECTS
 
 SRC = str(Path(cauchon.__file__).resolve().parents[1])
@@ -91,9 +93,9 @@ def test_count_and_table_load_only_the_census(argv):
 def test_a_usage_error_still_loads_argparse():
     # the CLI hands what it cannot read to the full parser, which reports
     # the error or prints the help; building it loads cauchon.commands for
-    # the check subjects, but no diagram module
+    # the check subjects, but no diagram module and no json
     for argv, code in [(["count", "--rows", "x", "--cols", "2"], "2"), (["count", "--help"], "0")]:
-        done = run_child(["-c", GRAPH_CHILD, "argparse,cauchon.diagram,dataclasses,inspect", *argv])
+        done = run_child(["-c", GRAPH_CHILD, "argparse,cauchon.diagram,dataclasses,inspect,json", *argv])
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1].split() == [code, "argparse"], argv
 
@@ -109,6 +111,82 @@ def test_grid_commands_load_no_argparse(tmp_path, argv):
     done = run_child(["-c", GRAPH_CHILD, "argparse,gettext", *argv])
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1].split() == ["0"]
+
+
+@pytest.mark.parametrize(
+    "argv, watched",
+    [
+        # text-format output, so no json; the value types are named tuples
+        (["pfaffian", "--grid", "GRID"], "dataclasses,inspect,json"),
+        (["enumerate", "--rows", "2", "--cols", "2"], "dataclasses,inspect"),
+        (["matchings", "--grid", "GRID"], "dataclasses,inspect"),
+        # only formula_value needs an exact fraction
+        (["check", "criterion-2xn", "--max-n", "2"], "dataclasses,inspect,fractions"),
+    ],
+    ids=["pfaffian", "enumerate", "matchings", "check"],
+)
+def test_commands_load_no_dataclasses(tmp_path, argv, watched):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("..#\n...\n")
+    argv = [str(grid) if arg == "GRID" else arg for arg in argv]
+    done = run_child(["-c", GRAPH_CHILD, watched, *argv])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["0"]
+
+
+#: per value type: a value, its repr, a value unequal to it, a field
+#: replacement its constructor rejects and the error it raises (None for a
+#: CheckReport, which validates nothing)
+VALUES = {
+    "CauchonDiagram": (
+        lambda: CauchonDiagram(2, 2, (1, 0)),
+        "CauchonDiagram(rows=2, cols=2, row_masks=(1, 0))",
+        CauchonDiagram(2, 2, (0, 0)),
+        {"row_masks": (0, 2)},
+        NotCauchonError,
+    ),
+    "SkewAdjacency": (
+        lambda: SkewAdjacency(2, ((0, 1), (-1, 0))),
+        "SkewAdjacency(d=2, entries=((0, 1), (-1, 0)))",
+        SkewAdjacency(2, ((0, -1), (1, 0))),
+        {"entries": ((0, 2), (-2, 0))},
+        ValueError,
+    ),
+    "Matching": (
+        lambda: Matching(((1, 2),)),
+        "Matching(edges=((1, 2),))",
+        Matching(((1, 3),)),
+        {"edges": ((2, 1),)},
+        MalformedMatchingError,
+    ),
+    "CheckReport": (
+        lambda: CheckReport(("n",), [{"n": 1}], []),
+        "CheckReport(header=('n',), rows=[{'n': 1}], failures=[])",
+        CheckReport(("n",), [{"n": 1}], ["n=1: formula=1 census=2"]),
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_are_immutable_values(name):
+    make, text, other, bad, error = VALUES[name]
+    value = make()
+    assert repr(value) == text
+    assert value == make() and value != other
+    assert type(value).__match_args__ == value._fields
+    field = value._fields[-1]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(other, field))
+    if error is None:
+        # a CheckReport's rows and failures are lists, so it has no hash
+        with pytest.raises(TypeError):
+            hash(value)
+        return
+    assert hash(value) == hash(make())
+    with pytest.raises(error):
+        value._replace(**bad)
 
 
 def test_public_names_resolve_lazily():
@@ -171,6 +249,7 @@ def test_layer_benchmark_runs():
     assert done.returncode == 0, done.stderr
     assert "0 mismatches against the kernel" in done.stdout
     assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
+    assert "of dataclasses, inspect and json the pfaffian loads: built none, unbuilt none" in done.stdout
 
 
 # --- reachability ---------------------------------------------------------------
