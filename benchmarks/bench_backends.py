@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the exact condensation kernel, the cycle nullity, the census and CLI cold start.
+"""Benchmark the exact condensation kernel, large-matrix builds, the cycle nullity, the census and CLI cold start.
 
 Classifies (Pfaffian + nullity) every diagram of one shape through the
-kernel and reports the per-diagram timing. On the same diagrams it times
+kernel and reports the per-diagram timing. On a fixed seeded sample of
+6x8, 7x7 and 8x8 diagrams, shapes too large to enumerate (d up to 64), it
+times the matrix build (``backend.skew_matrix``) and the condensation
+(``backend._condense``) apart, in us per query. On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
 the kernel's nullity. Then it times the public census, best of
@@ -37,6 +40,7 @@ shapes too large to classify one diagram at a time:
 
 import argparse
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -56,6 +60,10 @@ COLD_TABLE = ["-m", "cauchon.cli", "table", "--max-rows", "4", "--max-cols", "5"
 PARSING = {"argparse", "gettext", "json"}
 #: modules a text-format pfaffian needs only if a value type were a dataclass or it wrote JSON
 VALUE_TYPES = {"dataclasses", "inspect", "json"}
+#: the large sample's shapes, too large to enumerate, drawn in turn
+LARGE_SHAPES = ((6, 8), (7, 7), (8, 8))
+#: diagrams in the large sample, and its seed
+LARGE_SAMPLE, LARGE_SEED = 300, 29
 #: the pfaffian's grid, written to the temporary directory
 GRID = "..#.\n#...\n"
 
@@ -69,6 +77,28 @@ def best_pass(fn, workload, repeats: int) -> float:
             fn(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
+
+
+def large_sample() -> list[tuple[list[int], list[int]]]:
+    """White-square coordinates of the seeded large sample.
+
+    Each row is drawn from the rows admissible under the ones above it,
+    weighted by 2 to the power of its white squares, so the sample leans to
+    large d.
+    """
+    rng = random.Random(LARGE_SEED)
+    sample = []
+    for k in range(LARGE_SAMPLE):
+        m, n = LARGE_SHAPES[k % len(LARGE_SHAPES)]
+        above = (1 << n) - 1
+        masks = []
+        for _ in range(m):
+            rows = census._row_candidates(n, above)
+            mask = rng.choices(rows, [2 ** (n - row.bit_count()) for row in rows])[0]
+            masks.append(mask)
+            above &= mask
+        sample.append(white_coordinates(masks, n))
+    return sample
 
 
 def transfer_bytes(width: int, rows: int) -> tuple[int, float, float]:
@@ -148,7 +178,7 @@ def main() -> None:
 
 
 def classify(args: argparse.Namespace) -> None:
-    """Time the kernel, the cycle nullity and the census on every diagram of the shape."""
+    """Time the kernel, the cycle nullity and the census on every diagram of the shape, and the large sample."""
     diagrams = list(_iter_row_masks(args.rows, args.cols))
     workload = [white_coordinates(masks, args.cols) for masks in diagrams]
     count = len(workload)
@@ -156,6 +186,23 @@ def classify(args: argparse.Namespace) -> None:
 
     kernel_time = best_pass(backend.classify_cells, workload, args.repeats)
     print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram)")
+
+    large = large_sample()
+    builds, condensations = [], []
+    for _ in range(args.repeats):
+        start = time.perf_counter()
+        matrices = [backend.skew_matrix(rows, cols) for rows, cols in large]
+        builds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        for a in matrices:
+            backend._condense(a, len(a))
+        condensations.append(time.perf_counter() - start)
+    sizes = [len(rows) for rows, _ in large]
+    print(
+        f"large       : build {1e6 * min(builds) / len(large):8.2f} us/query, "
+        f"condense {1e6 * min(condensations) / len(large):8.2f} us/query  (best of {args.repeats}, "
+        f"{len(large)} seeded diagrams of {', '.join(f'{m}x{n}' for m, n in LARGE_SHAPES)}, d {min(sizes)}..{max(sizes)})"
+    )
 
     def cycle_nullity(masks):
         return census._even_cycles(census._diagram_wires(args.cols, masks))

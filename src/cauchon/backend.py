@@ -11,7 +11,10 @@ triangle, j > i, by
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
-with p = a[s][s+1], and advances two rows. A row with no such entry
+with p = a[s][s+1], and advances two rows. The update of row i drops a
+product whose coupling to the pivot rows, a[s][i] or a[s+1][i], is 0: a
+row coupled to neither is only rescaled, p * a[i][j] // prev, and left as
+it is when p == prev. A row s with no nonzero entry right of the diagonal
 vanishes on the trailing block, so it is a kernel vector: the kernel passes
 over it and advances one row. Dropping an index leaves a principal
 submatrix, so every intermediate entry is still the Pfaffian of a principal
@@ -70,8 +73,19 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
             asi = row_s[i]
             ati = row_t[i]
             row_i = a[i]
-            for j in range(i + 1, d):
-                row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
+            if asi:
+                if ati:
+                    for j in range(i + 1, d):
+                        row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
+                else:
+                    for j in range(i + 1, d):
+                        row_i[j] = (p * row_i[j] - asi * row_t[j]) // prev
+            elif ati:
+                for j in range(i + 1, d):
+                    row_i[j] = (p * row_i[j] + row_s[j] * ati) // prev
+            elif p != prev:
+                for j in range(i + 1, d):
+                    row_i[j] = p * row_i[j] // prev
         prev = p
         pairs += 1
         s += 2
@@ -82,20 +96,38 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
 def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
     """Skew adjacency matrix of white squares, as fresh nested lists.
 
-    ``rows``/``cols`` give the coordinates of the white squares in row-major
-    order; entry (i, j) with i < j is +1 exactly when the two squares share
-    a row or a column, and entry (j, i) is its negative.
+    ``rows``/``cols`` give the coordinates of the white squares, one square
+    per index; entry (i, j) with i < j is +1 exactly when squares i and j
+    share a row or a column, and entry (j, i) is its negative. The squares
+    are grouped by row and by column, so only true neighbours are set.
+    Raises ``ValueError`` when ``rows`` and ``cols`` differ in length.
     """
     d = len(rows)
+    if len(cols) != d:
+        raise ValueError(f"rows has {d} coordinates but cols has {len(cols)}")
     a = [[0] * d for _ in range(d)]
-    for i in range(d):
-        ri = rows[i]
-        ci = cols[i]
+    # each square meets the earlier squares of its row, then of its column;
+    # the two are spelt out, as a loop over them is slower on small d
+    by_row: dict[int, list[int]] = {}
+    by_col: dict[int, list[int]] = {}
+    for i, r, c in zip(range(d), rows, cols):
         ai = a[i]
-        for j in range(i + 1, d):
-            if rows[j] == ri or cols[j] == ci:
-                ai[j] = 1
-                a[j][i] = -1
+        line = by_row.get(r)
+        if line is None:
+            by_row[r] = [i]
+        else:
+            for j in line:
+                a[j][i] = 1
+                ai[j] = -1
+            line.append(i)
+        line = by_col.get(c)
+        if line is None:
+            by_col[c] = [i]
+        else:
+            for j in line:
+                a[j][i] = 1
+                ai[j] = -1
+            line.append(i)
     return a
 
 

@@ -42,6 +42,11 @@ def sample_diagrams(max_m: int, max_n: int, count: int, seed: int) -> list[Cauch
     return out
 
 
+#: shapes beyond ``sample_diagrams``' reach, for the seeded large sample; the
+#: first three are perfbench's query-large shapes
+LARGE_SHAPES = [(6, 8), (7, 7), (8, 8), (9, 12)]
+
+
 def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
     """Deterministic diagrams of shapes too large to enumerate, cycling through ``shapes``.
 

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from cauchon import backend
+from cauchon import CauchonDiagram, backend
+from cauchon.diagram import white_coordinates
+from conftest import LARGE_SHAPES, random_diagrams
 
 
 def reference_pfaffian(a):
@@ -351,3 +353,134 @@ def test_kernel_reads_only_the_upper_triangle():
         ]
         expected = (reference_pfaffian(a), d - reference_rank(a))
         assert _condense(junk) == expected, a
+
+
+def sparse_skew(rng, d, density):
+    """A random 0/+-1 skew matrix whose entries right of the diagonal are nonzero with probability ``density``."""
+    a = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < density:
+                v = rng.choice((-1, 1))
+                a[i][j] = v
+                a[j][i] = -v
+    return a
+
+
+def expanded_pfaffian(a):
+    """The Pfaffian expanded along the first remaining index, over its nonzero entries only.
+
+    The same signed sum over pairings as ``reference_pfaffian``, but a
+    pairing with a zero entry is never built, so a sparse matrix of d = 24 is
+    quick.
+    """
+    if len(a) % 2:
+        return 0
+    memo = {(): 1}
+
+    def pf(rest):
+        if rest not in memo:
+            first, others = rest[0], rest[1:]
+            memo[rest] = sum(
+                (-1) ** k * a[first][j] * pf(others[:k] + others[k + 1 :])
+                for k, j in enumerate(others)
+                if a[first][j]
+            )
+        return memo[rest]
+
+    return pf(tuple(range(len(a))))
+
+
+def permutation_sign(perm):
+    return (-1) ** sum(perm[p] > perm[q] for p, q in itertools.combinations(range(len(perm)), 2))
+
+
+def test_expanded_pfaffian_against_reference():
+    rng = random.Random(107)
+    for _ in range(300):
+        a = sparse_skew(rng, rng.randrange(0, 9), rng.random())
+        assert expanded_pfaffian(a) == reference_pfaffian(a), a
+
+
+def test_kernel_on_sparse_matrices_up_to_d24():
+    # larger and sparser than the tests above, so that a trailing row
+    # couples to both pivot rows, to one of them or to neither, and an
+    # uncoupled row is rescaled when the pivot moves (p != prev) and left
+    # alone when it does not
+    rng = random.Random(108)
+    for _ in range(120):
+        d = rng.randrange(12, 25)
+        a = sparse_skew(rng, d, rng.choice((0.08, 0.15, 0.25)))
+        assert _condense(a) == (expanded_pfaffian(a), d - reference_rank(a)), a
+
+
+def test_kernel_on_shuffled_direct_sums_up_to_d24():
+    # blocks of up to 8 indices: a trailing row of another block couples to
+    # neither pivot row, and the pivot moves from block to block; shuffling
+    # the indices interleaves the blocks, which multiplies the Pfaffian by
+    # the sign of the permutation and keeps the rank
+    rng = random.Random(109)
+    for trial in range(150):
+        size = rng.randrange(12, 25)
+        blocks = []
+        while sum(map(len, blocks)) < size:
+            blocks.append(sparse_skew(rng, rng.randrange(1, 9), rng.choice((0.3, 0.6, 1.0))))
+        a = direct_sum(*blocks)
+        d = len(a)
+        pf, rank = 1, 0
+        for block in blocks:
+            pf *= reference_pfaffian(block)
+            rank += reference_rank(block)
+        perm = list(range(d))
+        if trial % 2:
+            rng.shuffle(perm)
+        shuffled = [[a[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
+        assert _condense(shuffled) == (permutation_sign(perm) * pf, d - rank), shuffled
+
+
+def pairwise_skew_matrix(rows, cols):
+    """The skew adjacency matrix by testing every pair of squares: the oracle for ``backend.skew_matrix``."""
+    d = len(rows)
+    a = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rows[j] == rows[i] or cols[j] == cols[i]:
+                a[i][j] = 1
+                a[j][i] = -1
+    return a
+
+
+def test_skew_matrix_matches_pairwise_oracle_at_large_sizes():
+    large = random_diagrams(LARGE_SHAPES, 200, seed=20261020)
+    large += [CauchonDiagram.all_white(m, n) for m, n in LARGE_SHAPES]
+    assert {(d.rows, d.cols) for d in large} == set(LARGE_SHAPES)
+    for diagram in large:
+        rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+        assert backend.skew_matrix(rows, cols) == pairwise_skew_matrix(rows, cols), str(diagram)
+
+
+def test_skew_matrix_takes_squares_in_any_order():
+    # every same-row and same-column pair is set wherever the two squares
+    # stand in the input, and entry (i, j) with i < j is +1 in input order
+    rng = random.Random(110)
+    for diagram in random_diagrams(LARGE_SHAPES, 40, seed=20261021):
+        rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+        d = len(rows)
+        in_order = backend.skew_matrix(rows, cols)
+        perm = sorted(range(d), key=lambda k: (cols[k], rows[k]))  # column-major
+        if rng.random() < 0.5:
+            rng.shuffle(perm)
+        moved_rows, moved_cols = [rows[k] for k in perm], [cols[k] for k in perm]
+        moved = backend.skew_matrix(moved_rows, moved_cols)
+        assert moved == pairwise_skew_matrix(moved_rows, moved_cols), str(diagram)
+        for i in range(d):
+            for j in range(d):
+                sign = 1 if i < j else -1
+                assert moved[i][j] == sign * abs(in_order[perm[i]][perm[j]])
+
+
+@pytest.mark.parametrize("cols", [[1, 2], [1, 2, 3, 4]], ids=["short", "long"])
+@pytest.mark.parametrize("build", [backend.skew_matrix, backend.classify_cells], ids=["skew_matrix", "classify_cells"])
+def test_coordinates_of_unequal_lengths_raise(build, cols):
+    with pytest.raises(ValueError, match=rf"^rows has 3 coordinates but cols has {len(cols)}$"):
+        build([1, 1, 2], cols)

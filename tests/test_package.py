@@ -248,6 +248,7 @@ def test_layer_benchmark_runs():
     done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
     assert "0 mismatches against the kernel" in done.stdout
+    assert "us/query, condense" in done.stdout
     assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
     assert "of dataclasses, inspect and json the pfaffian loads: built none, unbuilt none" in done.stdout
 

@@ -17,7 +17,7 @@ from cauchon import (
     white_edges,
 )
 from cauchon.diagram import enumerate_diagrams, white_coordinates
-from conftest import GRID_4x6, random_diagrams, relabeled_matching_sum, sample_diagrams
+from conftest import GRID_4x6, LARGE_SHAPES, random_diagrams, relabeled_matching_sum, sample_diagrams
 
 
 # --- skew adjacency -------------------------------------------------------------
@@ -151,10 +151,6 @@ def test_rank_is_even_and_nullity_has_white_parity(small_diagrams):
             assert nul % 2 == diagram.white_count % 2
             assert (nul == 0) == is_primitive(diagram)
             assert (nul == 0) == (pfaffian(diagram) != 0)
-
-
-#: shapes beyond ``sample_diagrams``' reach, for the seeded large sample
-LARGE_SHAPES = [(6, 8), (7, 7), (8, 8), (9, 12)]
 
 
 def test_nullity_matches_condensation():
