@@ -4,7 +4,7 @@ Closed formulas live in a small registry keyed by formula id, and the
 check_* and scan_* helpers turn the known identities and conjectures into
 executable reports. Each returns a ``CheckReport``: a header, one row per
 tested size keyed by the header's column names, and the failure messages.
-Each check runs as a ``cauchon check`` subject, but ``check_primitive_1xn``,
+Each check runs as a ``cauchon check`` subject, except ``check_primitive_1xn``,
 which the acceptance tests run. Conjectured formulas are only ever reported
 as "no counterexample found"; nothing here claims a proof.
 """

@@ -5,20 +5,16 @@ fixed and timing goes to stderr, never into the data channel. Exit codes:
 0 success, 1 check failure or counterexample, 2 usage error, 3 guardrail
 breach, 4 unparseable grid input.
 
-Each command starts a fresh interpreter. A checkout built with ``python
-setup.py build_ext --inplace`` loads this file as bytecode; an unbuilt one,
-with no ``.pyc``, compiles it from source on every call. So it holds only
-what ``count`` and ``table`` run: their bodies, the one table of every
-command, the usage and guardrail checks, and ``main``. ``main`` reads a
-command line of exact flags and plain values itself, from that table, and
-hands every other one, help and usage errors among them, to the argparse
-parser of ``build_parser``. ``count`` and ``table`` print JSON through
-``_json``, so a plain call of either loads neither ``argparse`` nor
-``json``. The other bodies and the table of ``check`` subjects live in
-``cauchon.commands``, which only those commands load.
+Each command starts a fresh interpreter, so this module imports only
+``cauchon.census``, which ``count`` and ``table`` run; every other body
+imports what it needs when it runs. ``_COMMANDS`` is the one table of
+commands, and ``CHECK_SUBJECTS`` the one table of ``check`` subjects.
+``main`` reads a command line of exact flags and plain values itself, from
+``_COMMANDS``, and hands every other one, help and usage errors among them,
+to the argparse parser of ``build_parser``. ``count`` and ``table`` print JSON
+through ``_json``, so a plain call of either loads neither ``argparse`` nor
+``json``.
 """
-
-from __future__ import annotations
 
 import sys
 import time
@@ -76,7 +72,7 @@ def _json(value: int | list | dict) -> str:
     return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     start = time.perf_counter()
     record = census.run_census(args.rows, args.cols)
     seconds = time.perf_counter() - start
@@ -103,7 +99,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     start = time.perf_counter()
     records = census.run_censuses(
         (m, n) for m in range(1, args.max_rows + 1) for n in range(1, args.max_cols + 1)
@@ -131,29 +127,191 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --- pfaffian -------------------------------------------------------------------
+
+
+def _read_grid(spec: str):
+    """The diagram in the file ``spec`` (``-`` for stdin); raises GridError."""
+    from .diagram import GridError, parse_grid
+
+    try:
+        if spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridError(f"cannot read grid {spec}: {exc}") from exc
+    return parse_grid(text)
+
+
+def _cmd_pfaffian(args: SimpleNamespace) -> int:
+    from .pfaffian import classify, skew_adjacency
+
+    diagram = _read_grid(args.grid)
+    pf, nul = classify(diagram)
+    primitive = pf != 0
+    if args.format == "json":
+        import json
+
+        payload: dict = {
+            "rows": diagram.rows,
+            "cols": diagram.cols,
+            "white_count": diagram.white_count,
+            "pfaffian": pf,
+            "determinant": pf * pf,  # det = Pf^2 for every skew-symmetric matrix
+        }
+        if args.show_nullity:
+            payload["nullity"] = nul
+        payload["primitive"] = primitive
+        if args.show_matrix:
+            payload["matrix"] = [list(row) for row in skew_adjacency(diagram).entries]
+        print(json.dumps(payload))
+    else:
+        print(f"rows: {diagram.rows}")
+        print(f"cols: {diagram.cols}")
+        print(f"white squares: {diagram.white_count}")
+        print(f"pfaffian: {pf}")
+        print(f"determinant: {pf * pf}")
+        if args.show_nullity:
+            print(f"nullity: {nul}")
+        print(f"primitive: {'true' if primitive else 'false'}")
+        if args.show_matrix:
+            print("matrix:")
+            for row in skew_adjacency(diagram).entries:
+                print("  " + " ".join(f"{v:>2}" for v in row))
+    return EXIT_OK
+
+
+# --- check ----------------------------------------------------------------------
+
+#: check subject -> (size options with their defaults, the squares the
+#: guardrail checks, the check given the ``checks`` module, the text-format
+#: verdict when nothing fails)
+CHECK_SUBJECTS = {
+    "formula-2xn": (
+        {"max_n": 9}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_formula(checks.P2_CLOSED, range(1, a.max_n + 1)), "PASS",
+    ),
+    "conjecture-3xn": (
+        {"max_n": 7}, lambda a: 3 * a.max_n,
+        lambda checks, a: checks.check_formula(checks.P3_CONJECTURED, range(1, a.max_n + 1)), "no counterexample found",
+    ),
+    "criterion-2xn": (
+        {"max_n": 8}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_criterion_2xn(a.max_n), "PASS",
+    ),
+    "power-of-two": (
+        {"max_rows": 4, "max_cols": 4}, lambda a: a.max_rows * a.max_cols,
+        lambda checks, a: checks.scan_power_of_two(a.max_rows, a.max_cols), "no counterexample found",
+    ),
+    "relation-eqc": (
+        {"rows": 2, "max_n": 8}, lambda a: a.rows * a.max_n,
+        lambda checks, a: checks.check_relation_eqc(a.rows, a.max_n), "PASS",
+    ),
+    "lemma-decomposition": (
+        {"max_n": 5}, lambda a: 2 * a.max_n,
+        lambda checks, a: checks.check_lemma_decomposition(a.max_n), "PASS",
+    ),
+}
+
+
+def _cmd_check(args: SimpleNamespace) -> int:
+    from . import checks
+
+    *_, run, verdict = CHECK_SUBJECTS[args.subject]
+    report = run(checks, args)
+    if args.format == "json":
+        import json
+
+        print(json.dumps(report.rows, default=str))
+    elif args.format == "csv":
+        print(",".join(report.header))
+        for row in report.rows:
+            print(",".join(str(row[key]) for key in report.header))
+    else:
+        for row in report.rows:
+            print("  ".join(f"{key}={row[key]}" for key in report.header))
+    if report.failures:
+        print("FAIL")
+        for failure in report.failures:
+            print(failure)
+        return EXIT_CHECK_FAILED
+    if args.format == "text":
+        print(verdict)
+    return EXIT_OK
+
+
+# --- enumerate / matchings -------------------------------------------------------
+
+
+def _cmd_enumerate(args: SimpleNamespace) -> int:
+    import json
+
+    from .diagram import enumerate_diagrams, format_grid
+    from .pfaffian import classify
+
+    for diagram in enumerate_diagrams(args.rows, args.cols):
+        pf, nul = classify(diagram)
+        if args.format == "text":
+            print(format_grid(diagram))
+            print(
+                f"d={diagram.white_count} pfaffian={pf} nullity={nul} "
+                f"primitive={'true' if pf else 'false'}"
+            )
+            print()
+        else:
+            print(
+                json.dumps(
+                    {
+                        "mask": format_grid(diagram).split("\n"),
+                        "d": diagram.white_count,
+                        "pfaffian": pf,
+                        "nullity": nul,
+                        "primitive": pf != 0,
+                    }
+                )
+            )
+    return EXIT_OK
+
+
+def _cmd_matchings(args: SimpleNamespace) -> int:
+    import json
+
+    from .matching import enumerate_matchings
+
+    diagram = _read_grid(args.grid)
+    for matching in enumerate_matchings(diagram):
+        edges = sorted(tuple(sorted(edge)) for edge in matching.edges)
+        sign = matching.sign
+        if args.format == "text":
+            rendered = "".join(f"({i},{j})" for i, j in edges)
+            print(f"sign={'+1' if sign > 0 else '-1'} edges={rendered}")
+        else:
+            print(json.dumps({"edges": [list(edge) for edge in edges], "sign": sign}))
+    return EXIT_OK
+
+
 # --- usage checks -------------------------------------------------------------------
 #
 # Each returns the squares the guardrail checks, after the checks on values
-# argparse cannot make. They stay in this module for every command: main
-# catches this module's exceptions, and under ``python -m cauchon.cli`` this
-# module is ``__main__``, so ``cauchon.commands`` must not import
-# ``cauchon.cli``, which would make second copies of them.
+# argparse cannot make.
 
 
-def _shape_cells(args: argparse.Namespace) -> int:
+def _shape_cells(args: SimpleNamespace) -> int:
     if args.rows < 1 or args.cols < 0:
         raise UsageError("--rows must be >= 1 and --cols >= 0")
     return args.rows * args.cols
 
 
-def _count_cells(args: argparse.Namespace) -> int:
+def _count_cells(args: SimpleNamespace) -> int:
     cells = _shape_cells(args)
     if args.histogram and args.format == "csv":
         raise UsageError("--histogram needs --format text or json")
     return cells
 
 
-def _enumerate_cells(args: argparse.Namespace) -> int:
+def _enumerate_cells(args: SimpleNamespace) -> int:
     cells = _shape_cells(args)
     if args.cols == 0 and args.format == "text":
         # a grid without columns is blank lines, which read as record separators
@@ -161,15 +319,13 @@ def _enumerate_cells(args: argparse.Namespace) -> int:
     return cells
 
 
-def _table_cells(args: argparse.Namespace) -> int:
+def _table_cells(args: SimpleNamespace) -> int:
     if args.max_rows < 1 or args.max_cols < 1:
         raise UsageError("--max-rows and --max-cols must be >= 1")
     return args.max_rows * args.max_cols
 
 
-def _check_cells(args: argparse.Namespace) -> int:
-    from .commands import CHECK_SUBJECTS
-
+def _check_cells(args: SimpleNamespace) -> int:
     return CHECK_SUBJECTS[args.subject][1](args)
 
 
@@ -200,8 +356,7 @@ _WORKERS = ("--workers", {"type": _positive_int, "default": 1, "help": "ignored:
 
 #: command -> (help line, options in help order, or None for the check
 #: subjects; the usage checks, giving the squares the guardrail checks, or
-#: None for no guardrail; the body, which returns the exit code, or the name
-#: of one in cauchon.commands, which returns False when a check failed)
+#: None for no guardrail; the body, which returns the exit code)
 _COMMANDS = {
     "count": (
         "census a single grid shape",
@@ -222,21 +377,19 @@ _COMMANDS = {
         [_GRID, ("--show-matrix", {"action": "store_true"}), ("--show-nullity", {"action": "store_true"}),
          ("--format", {"choices": ["text", "json"], "default": "text"})],
         None,
-        "run_pfaffian",
+        _cmd_pfaffian,
     ),
-    "check": ("verify identities and scan conjectures", None, _check_cells, "run_check"),
+    "check": ("verify identities and scan conjectures", None, _check_cells, _cmd_check),
     "enumerate": (
-        "stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _enumerate_cells, "run_enumerate"
+        "stream every diagram of a shape", [_ROWS, _COLS, _STREAM_FORMAT, _MAX_CELLS], _enumerate_cells, _cmd_enumerate
     ),
-    "matchings": ("stream the perfect matchings of one grid", [_GRID, _STREAM_FORMAT], None, "run_matchings"),
+    "matchings": ("stream the perfect matchings of one grid", [_GRID, _STREAM_FORMAT], None, _cmd_matchings),
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+def _add_options(parser, command: str) -> None:
     options = _COMMANDS[command][1]
     if options is None:
-        from .commands import CHECK_SUBJECTS
-
         subjects = parser.add_subparsers(dest="subject", required=True)
         for subject, (sizes, *_) in CHECK_SUBJECTS.items():
             s = subjects.add_parser(subject)
@@ -249,7 +402,7 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         parser.add_argument(flag, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The parser of every command, which ``main`` builds for each command line ``_read`` refuses."""
     import argparse
 
@@ -318,7 +471,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> SimpleNamespace:
     """``build_parser().parse_args(argv)``, read by ``_read`` where it can.
 
     ``_read`` takes the benchmark's and most scripted command lines, which
@@ -326,7 +479,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     abbreviations, ``--flag=value``, repeated flags, signed or padded
     numbers, and every error, which it reports with its own usage line.
     """
-    return _read(argv) or build_parser().parse_args(argv)
+    return _read(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -337,11 +490,7 @@ def main(argv: list[str] | None = None) -> int:
             cells = usage_cells(args)
             if cells > args.max_cells:
                 raise GuardrailError(cells, args.max_cells)
-        if callable(body):
-            return body(args)
-        from . import commands
-
-        return EXIT_OK if getattr(commands, body)(args) else EXIT_CHECK_FAILED
+        return body(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -102,6 +102,7 @@ class CauchonDiagram(namedtuple("CauchonDiagram", "rows cols row_masks")):
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int, row_masks: tuple[int, ...]):
+        row_masks = tuple(row_masks)
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if cols < 0:

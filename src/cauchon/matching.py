@@ -43,6 +43,7 @@ class Matching(namedtuple("Matching", "edges")):
     __slots__ = ()
 
     def __new__(cls, edges: tuple[tuple[int, int], ...]):
+        edges = tuple(edges)
         _endpoints(edges)
         return super().__new__(cls, edges)
 

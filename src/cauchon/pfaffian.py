@@ -45,11 +45,13 @@ class SkewAdjacency(namedtuple("SkewAdjacency", "d entries")):
     __slots__ = ()
 
     def __new__(cls, d: int, entries: tuple[tuple[int, ...], ...]):
+        entries = tuple(map(tuple, entries))
         if len(entries) != d:
             raise ValueError(f"expected {d} rows, got {len(entries)}")
         for i, row in enumerate(entries):
             if len(row) != d:
                 raise ValueError(f"row {i} has length {len(row)}, expected {d}")
+        for i, row in enumerate(entries):
             for j, v in enumerate(row):
                 if v not in (-1, 0, 1):
                     raise ValueError(f"entry ({i}, {j}) is {v}, expected -1, 0 or +1")
@@ -63,8 +65,7 @@ class SkewAdjacency(namedtuple("SkewAdjacency", "d entries")):
 def skew_adjacency(diagram: CauchonDiagram) -> SkewAdjacency:
     """Build A_C; the matrix depends only on the white squares' positions."""
     rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
-    entries = backend.skew_matrix(rows, cols)
-    return SkewAdjacency(len(rows), tuple(tuple(row) for row in entries))
+    return SkewAdjacency(len(rows), backend.skew_matrix(rows, cols))
 
 
 def classify(diagram: CauchonDiagram) -> tuple[int, int]:

@@ -17,13 +17,15 @@ import pytest
 import cauchon
 from cauchon import CauchonDiagram, MalformedMatchingError, Matching, NotCauchonError, SkewAdjacency
 from cauchon.checks import CheckReport
-from cauchon.commands import CHECK_SUBJECTS
+from cauchon.cli import CHECK_SUBJECTS
 
 SRC = str(Path(cauchon.__file__).resolve().parents[1])
 
-#: modules the count path must not load: the rest of the package, and the
-#: standard-library modules only it needs
+#: modules the count path must not load: the rest of the package, the
+#: standard-library modules only it needs, and the ``__future__`` that a
+#: ``from __future__`` import in the CLI or the census would load
 HEAVY = (
+    "__future__",
     "dataclasses",
     "inspect",
     "fractions",
@@ -34,7 +36,6 @@ HEAVY = (
     "cauchon.criterion",
     "cauchon.backend",
     "cauchon.checks",
-    "cauchon.commands",
 )
 
 #: standard-library modules a command line the CLI reads itself must not
@@ -92,10 +93,11 @@ def test_count_and_table_load_only_the_census(argv):
 
 def test_a_usage_error_still_loads_argparse():
     # the CLI hands what it cannot read to the full parser, which reports
-    # the error or prints the help; building it loads cauchon.commands for
-    # the check subjects, but no diagram module and no json
+    # the error or prints the help; building it, check subjects included,
+    # loads no other module of the package and no json
+    watched = "argparse,cauchon.checks,cauchon.diagram,cauchon.pfaffian,dataclasses,inspect,json"
     for argv, code in [(["count", "--rows", "x", "--cols", "2"], "2"), (["count", "--help"], "0")]:
-        done = run_child(["-c", GRAPH_CHILD, "argparse,cauchon.diagram,dataclasses,inspect,json", *argv])
+        done = run_child(["-c", GRAPH_CHILD, watched, *argv])
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1].split() == [code, "argparse"], argv
 
@@ -136,7 +138,8 @@ def test_commands_load_no_dataclasses(tmp_path, argv, watched):
 
 #: per value type: a value, its repr, a value unequal to it, a field
 #: replacement its constructor rejects and the error it raises (None for a
-#: CheckReport, which validates nothing)
+#: CheckReport, which validates nothing), and the same value built from lists
+#: and generators, which the constructor stores as tuples
 VALUES = {
     "CauchonDiagram": (
         lambda: CauchonDiagram(2, 2, (1, 0)),
@@ -144,6 +147,7 @@ VALUES = {
         CauchonDiagram(2, 2, (0, 0)),
         {"row_masks": (0, 2)},
         NotCauchonError,
+        [lambda: CauchonDiagram(2, 2, [1, 0]), lambda: CauchonDiagram(2, 2, (mask for mask in (1, 0)))],
     ),
     "SkewAdjacency": (
         lambda: SkewAdjacency(2, ((0, 1), (-1, 0))),
@@ -151,6 +155,7 @@ VALUES = {
         SkewAdjacency(2, ((0, -1), (1, 0))),
         {"entries": ((0, 2), (-2, 0))},
         ValueError,
+        [lambda: SkewAdjacency(2, [[0, 1], [-1, 0]]), lambda: SkewAdjacency(2, (iter(row) for row in [[0, 1], [-1, 0]]))],
     ),
     "Matching": (
         lambda: Matching(((1, 2),)),
@@ -158,6 +163,7 @@ VALUES = {
         Matching(((1, 3),)),
         {"edges": ((2, 1),)},
         MalformedMatchingError,
+        [lambda: Matching([(1, 2)]), lambda: Matching(edge for edge in [(1, 2)])],
     ),
     "CheckReport": (
         lambda: CheckReport(("n",), [{"n": 1}], []),
@@ -165,13 +171,14 @@ VALUES = {
         CheckReport(("n",), [{"n": 1}], ["n=1: formula=1 census=2"]),
         None,
         None,
+        [],
     ),
 }
 
 
 @pytest.mark.parametrize("name", VALUES)
 def test_value_types_are_immutable_values(name):
-    make, text, other, bad, error = VALUES[name]
+    make, text, other, bad, error, rebuilt = VALUES[name]
     value = make()
     assert repr(value) == text
     assert value == make() and value != other
@@ -185,6 +192,9 @@ def test_value_types_are_immutable_values(name):
             hash(value)
         return
     assert hash(value) == hash(make())
+    for build in rebuilt:
+        again = build()
+        assert (again, hash(again), repr(again)) == (value, hash(value), text)
     with pytest.raises(error):
         value._replace(**bad)
 
@@ -251,6 +261,8 @@ def test_layer_benchmark_runs():
     assert "us/query, condense" in done.stdout
     assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
     assert "of dataclasses, inspect and json the pfaffian loads: built none, unbuilt none" in done.stdout
+    stdlib = next(line for line in done.stdout.splitlines() if "standard-library modules" in line)
+    assert "__future__" not in stdlib, stdlib
 
 
 # --- reachability ---------------------------------------------------------------

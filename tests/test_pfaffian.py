@@ -97,6 +97,8 @@ def test_skew_adjacency_type_validates():
         SkewAdjacency(2, ((0, 2), (-2, 0)))
     with pytest.raises(ValueError):
         SkewAdjacency(1, ((0, 0),))
+    with pytest.raises(ValueError):
+        SkewAdjacency(2, ((0, 1), ()))  # a short row after the row that reads it
 
 
 # --- pfaffian / determinant / nullity ----------------------------------------------
