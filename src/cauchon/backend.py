@@ -11,9 +11,11 @@ triangle, j > i, by
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
-with p = a[s][s+1], and advances two rows. The update of row i drops a
-product whose coupling to the pivot rows, a[s][i] or a[s+1][i], is 0: a
-row coupled to neither is only rescaled, p * a[i][j] // prev, and left as
+with p = a[s][s+1], and advances two rows. Row i's update takes one of
+three cases by its couplings to the pivot rows, a[s][i] and a[s+1][i]:
+coupled to both, it takes the whole formula; coupled to one, its one
+product, that coupling (negated for a[s][i]) times the other pivot row;
+coupled to neither, it is only rescaled, p * a[i][j] // prev, and left as
 it is when p == prev. A row s with no nonzero entry right of the diagonal
 vanishes on the trailing block, so it is a kernel vector: the kernel passes
 over it and advances one row. Dropping an index leaves a principal
@@ -25,9 +27,7 @@ and otherwise the Pfaffian is 0. Python's unbounded integers make this
 kernel valid for any dimension.
 """
 
-from __future__ import annotations
-
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = ["active_backend", "skew_matrix", "classify_cells", "determinant"]
 
@@ -73,16 +73,13 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
             asi = row_s[i]
             ati = row_t[i]
             row_i = a[i]
-            if asi:
-                if ati:
-                    for j in range(i + 1, d):
-                        row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
-                else:
-                    for j in range(i + 1, d):
-                        row_i[j] = (p * row_i[j] - asi * row_t[j]) // prev
-            elif ati:
+            if asi and ati:
                 for j in range(i + 1, d):
-                    row_i[j] = (p * row_i[j] + row_s[j] * ati) // prev
+                    row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
+            elif asi or ati:
+                c, row_u = (-asi, row_t) if asi else (ati, row_s)
+                for j in range(i + 1, d):
+                    row_i[j] = (p * row_i[j] + c * row_u[j]) // prev
             elif p != prev:
                 for j in range(i + 1, d):
                     row_i[j] = p * row_i[j] // prev

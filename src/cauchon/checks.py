@@ -9,11 +9,9 @@ which the acceptance tests run. Conjectured formulas are only ever reported
 as "no counterexample found"; nothing here claims a proof.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from math import comb
-from typing import Callable, Iterable
 
 from .census import run_census, run_censuses
 from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast

@@ -246,10 +246,11 @@ def _cmd_check(args: SimpleNamespace) -> int:
 
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
-    import json
-
     from .diagram import enumerate_diagrams, format_grid
     from .pfaffian import classify
+
+    if args.format == "jsonl":
+        import json
 
     for diagram in enumerate_diagrams(args.rows, args.cols):
         pf, nul = classify(diagram)
@@ -276,11 +277,12 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 def _cmd_matchings(args: SimpleNamespace) -> int:
-    import json
-
     from .matching import enumerate_matchings
 
     diagram = _read_grid(args.grid)
+    if args.format == "jsonl":
+        import json
+
     for matching in enumerate_matchings(diagram):
         edges = sorted(tuple(sorted(edge)) for edge in matching.edges)
         sign = matching.sign

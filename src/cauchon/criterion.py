@@ -11,9 +11,7 @@ affect the Pfaffian, so the two-row test strips them first and needs no
 precondition.
 """
 
-from __future__ import annotations
-
-from typing import Iterable
+from collections.abc import Iterable
 
 from .diagram import CauchonDiagram, strip_black_columns
 

@@ -13,10 +13,8 @@ the row-major black mask (reading the grid row by row, left to right, with
 white < black), smallest first, so the all-white diagram always comes first.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
 from .census import _check_shape, _row_candidates

@@ -12,10 +12,8 @@ exponential and is meant as an independent cross-check of the elimination
 kernel at small sizes.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .criterion import fully_white_columns
 from .diagram import CauchonDiagram
@@ -43,7 +41,7 @@ class Matching(namedtuple("Matching", "edges")):
     __slots__ = ()
 
     def __new__(cls, edges: tuple[tuple[int, int], ...]):
-        edges = tuple(edges)
+        edges = tuple(map(tuple, edges))
         _endpoints(edges)
         return super().__new__(cls, edges)
 

@@ -20,8 +20,6 @@ oracles; ``determinant`` is ``backend``'s Bareiss elimination, which shares
 no code with it. All arithmetic is exact, never floating point.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import backend, census

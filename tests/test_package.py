@@ -118,14 +118,17 @@ def test_grid_commands_load_no_argparse(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, watched",
     [
-        # text-format output, so no json; the value types are named tuples
-        (["pfaffian", "--grid", "GRID"], "dataclasses,inspect,json"),
-        (["enumerate", "--rows", "2", "--cols", "2"], "dataclasses,inspect"),
-        (["matchings", "--grid", "GRID"], "dataclasses,inspect"),
+        # text-format output, so no json; the value types are named tuples,
+        # and no module of the package imports from __future__
+        (["pfaffian", "--grid", "GRID"], "__future__,dataclasses,inspect,json"),
+        (["enumerate", "--rows", "2", "--cols", "2"], "__future__,dataclasses,inspect"),
+        (["enumerate", "--rows", "2", "--cols", "2", "--format", "text"], "dataclasses,inspect,json"),
+        (["matchings", "--grid", "GRID"], "__future__,dataclasses,inspect"),
+        (["matchings", "--grid", "GRID", "--format", "text"], "dataclasses,inspect,json"),
         # only formula_value needs an exact fraction
-        (["check", "criterion-2xn", "--max-n", "2"], "dataclasses,inspect,fractions"),
+        (["check", "criterion-2xn", "--max-n", "2"], "__future__,dataclasses,inspect,fractions"),
     ],
-    ids=["pfaffian", "enumerate", "matchings", "check"],
+    ids=["pfaffian", "enumerate", "enumerate-text", "matchings", "matchings-text", "check"],
 )
 def test_commands_load_no_dataclasses(tmp_path, argv, watched):
     grid = tmp_path / "grid.txt"
@@ -163,7 +166,12 @@ VALUES = {
         Matching(((1, 3),)),
         {"edges": ((2, 1),)},
         MalformedMatchingError,
-        [lambda: Matching([(1, 2)]), lambda: Matching(edge for edge in [(1, 2)])],
+        [
+            lambda: Matching([(1, 2)]),
+            lambda: Matching(edge for edge in [(1, 2)]),
+            lambda: Matching([[1, 2]]),
+            lambda: Matching(iter(edge) for edge in [[1, 2]]),
+        ],
     ),
     "CheckReport": (
         lambda: CheckReport(("n",), [{"n": 1}], []),
@@ -197,6 +205,24 @@ def test_value_types_are_immutable_values(name):
         assert (again, hash(again), repr(again)) == (value, hash(value), text)
     with pytest.raises(error):
         value._replace(**bad)
+
+
+def test_src_annotates_without_typing_or_future():
+    # every module imports Iterable, Callable and the like from
+    # collections.abc, and its annotations are evaluated at definition; the
+    # source is read, as an interpreter's site may already have loaded typing
+    found = []
+    for path in sorted(Path(SRC, "cauchon").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            banned = [name for name in names if name.split(".")[0] in ("__future__", "typing")]
+            found += [f"{path.name}:{node.lineno} {name}" for name in banned]
+    assert found == []
 
 
 def test_public_names_resolve_lazily():
