@@ -283,8 +283,9 @@ def _cmd_matchings(args: SimpleNamespace) -> int:
     if args.format == "jsonl":
         import json
 
+    # edges come with i < j and by ascending i, the order they are written in
     for matching in enumerate_matchings(diagram):
-        edges = sorted(tuple(sorted(edge)) for edge in matching.edges)
+        edges = matching.edges
         sign = matching.sign
         if args.format == "text":
             rendered = "".join(f"({i},{j})" for i, j in edges)

@@ -184,10 +184,15 @@ def run_copy(path: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], cwd=path, env=env, capture_output=True, text=True)
 
 
+def imported(verbose_log: str) -> set[str]:
+    """Every module a ``python -v`` run imports."""
+    return set(re.findall(r"^import '([\w.]+)'", verbose_log, re.M))
+
+
 def loaded_code(package: Path, verbose_log: str) -> tuple[set[str], set[str]]:
     """The sources of the package's modules a ``python -v`` run imports, and the files it took their code from."""
     # cauchon.cli runs under runpy as __main__, so the log has no import line for it
-    modules = {"cauchon.cli", *re.findall(r"^import '(cauchon[.\w]*)'", verbose_log, re.M)}
+    modules = {"cauchon.cli", *(name for name in imported(verbose_log) if name.partition(".")[0] == "cauchon")}
     sources = {str(package / (name.partition(".")[2] or "__init__")) + ".py" for name in modules}
     # bytecode is named by its repr, source by its bare path
     files = re.findall(r"^# code object from '?(.*?)'?$", verbose_log, re.M)
@@ -245,6 +250,7 @@ def test_cli_loads_bytecode_after_the_build(tmp_path):
     for path in (built, unbuilt):
         path.mkdir()
         copy_checkout(path)
+        (path / "grid.txt").write_text("..#.\n#...\n")
     assert build_inplace(built).returncode == 0
     runs = {path: run_copy(path, "-v", *COUNT) for path in (built, unbuilt)}
     for path, done in runs.items():
@@ -253,6 +259,12 @@ def test_cli_loads_bytecode_after_the_build(tmp_path):
         sources, files = loaded_code(package, done.stderr)
         expected = {importlib.util.cache_from_source(name) for name in sources} if path == built else sources
         assert files == expected
+        # the CLI reads this command line and writes its JSON itself
+        assert not imported(done.stderr) & {"argparse", "gettext", "json"}
+        pfaffian = run_copy(path, "-v", "-m", "cauchon.cli", "pfaffian", "--grid", "grid.txt")
+        assert pfaffian.returncode == 0, pfaffian.stderr
+        # the value types are named tuples, and text output needs no JSON
+        assert not imported(pfaffian.stderr) & {"dataclasses", "inspect", "json"}
     assert runs[built].stdout == runs[unbuilt].stdout
 
 

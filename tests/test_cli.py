@@ -203,9 +203,9 @@ FRESH_ERRORS = [
 
 @pytest.mark.parametrize("argv,code,last", FRESH_ERRORS)
 def test_errors_keep_their_exit_codes_under_python_m(tmp_path, argv, code, last):
-    # under -m this module is __main__, and the exceptions main catches must
-    # be the ones every command raises: an import of cauchon.cli from the
-    # commands' module would make second copies that escape as exit 1
+    # under -m cauchon.cli is __main__, and the exceptions main catches must
+    # be the ones every command raises: no module that a command body imports
+    # may import cauchon.cli, or its second copies would escape as exit 1
     (tmp_path / "grid.txt").write_text("..\n.#\n")
     (tmp_path / "bad.txt").write_text("x.\n")
     # a 3x0 grid as format_grid writes it, with a trailing newline

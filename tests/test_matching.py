@@ -159,6 +159,17 @@ def test_matchings_are_unique_and_well_formed(small_diagrams):
                 assert len(used) == diagram.white_count == len(set(used))
 
 
+def test_matchings_list_their_edges_sorted(small_diagrams):
+    # `cauchon matchings` writes the edges as stored, so their order is its output
+    diagrams = [d for ds in small_diagrams.values() for d in ds] + [CauchonDiagram.all_white(4, 4)]
+    count = 0
+    for diagram in diagrams:
+        for matching in enumerate_matchings(diagram):
+            assert matching.edges == tuple(sorted(matching.edges))
+            count += 1
+    assert count == 257 + 2016  # the small shapes' and the all-white 4x4's
+
+
 # --- matching-sum pfaffian ------------------------------------------------------
 
 

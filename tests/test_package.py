@@ -283,12 +283,17 @@ def test_layer_benchmark_runs():
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backends.py"
     done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
-    assert "0 mismatches against the kernel" in done.stdout
-    assert "us/query, condense" in done.stdout
-    assert "of argparse, gettext and json it loads: built none, unbuilt none" in done.stdout
-    assert "of dataclasses, inspect and json the pfaffian loads: built none, unbuilt none" in done.stdout
-    stdlib = next(line for line in done.stdout.splitlines() if "standard-library modules" in line)
-    assert "__future__" not in stdlib, stdlib
+    shape, kernel, large, cycles, record, transfer = done.stdout.splitlines()
+    assert shape == "shape 2x3: 46 diagrams"
+    assert kernel.startswith("kernel      : ") and kernel.endswith(" us/diagram)")
+    assert large.startswith("large       : build ") and "us/query, condense" in large
+    assert cycles.startswith("cycles      : ") and cycles.endswith(", 0 mismatches against the kernel)")
+    assert record.startswith("census      : total=46 primitive=17 in ")
+    assert transfer.startswith("transfer    : 12 states at level 3 of width 2, ")
+    alone = run_child([str(script), "--rows", "2", "--cols", "3", "--transfer-only"])
+    assert alone.returncode == 0, alone.stderr
+    [line] = alone.stdout.splitlines()
+    assert line.startswith("transfer    : 12 states at level 3 of width 2, ")
 
 
 # --- reachability ---------------------------------------------------------------
