@@ -4,8 +4,10 @@
 Classifies (Pfaffian + nullity) every diagram of one shape through the
 kernel and reports the per-diagram timing. On a fixed seeded sample of
 6x8, 7x7 and 8x8 diagrams, shapes too large to enumerate (d up to 64), it
-times the matrix build (``backend.skew_matrix``) and the condensation
-(``backend._condense``) apart, in us per query. On the shape's diagrams it times
+times the matrix build (``backend.skew_matrix``) and, on the same
+matrices, the Schur kernel that ``classify_cells`` runs
+(``backend._schur``) and the Bareiss fallback (``backend._condense``)
+apart, in us per query. On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
 the kernel's nullity. Then it times the public census, best of
@@ -119,19 +121,23 @@ def classify(args: argparse.Namespace) -> None:
     print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram)")
 
     large = large_sample()
-    builds, condensations = [], []
+    kernels = {"schur": backend._schur, "bareiss": backend._condense}
+    timings = {"build": [], **{name: [] for name in kernels}}
     for _ in range(args.repeats):
         start = time.perf_counter()
         matrices = [backend.skew_matrix(rows, cols) for rows, cols in large]
-        builds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        for a in matrices:
-            backend._condense(a, len(a))
-        condensations.append(time.perf_counter() - start)
+        timings["build"].append(time.perf_counter() - start)
+        for name, kernel in kernels.items():
+            # each kernel destroys its matrices, so it condenses its own copies
+            copies = [[list(row) for row in a] for a in matrices]
+            start = time.perf_counter()
+            for a in copies:
+                kernel(a, len(a))
+            timings[name].append(time.perf_counter() - start)
     sizes = [len(rows) for rows, _ in large]
+    per_query = ", ".join(f"{name} {1e6 * min(times) / len(large):8.2f} us/query" for name, times in timings.items())
     print(
-        f"large       : build {1e6 * min(builds) / len(large):8.2f} us/query, "
-        f"condense {1e6 * min(condensations) / len(large):8.2f} us/query  (best of {args.repeats}, "
+        f"large       : {per_query}  (best of {args.repeats}, "
         f"{len(large)} seeded diagrams of {', '.join(f'{m}x{n}' for m, n in LARGE_SHAPES)}, d {min(sizes)}..{max(sizes)})"
     )
 

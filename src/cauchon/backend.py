@@ -1,30 +1,47 @@
-"""Exact condensation kernel for skew-symmetric integer matrices.
+"""Exact condensation kernels for skew-symmetric integer matrices.
 
-The Pfaffian/rank kernel runs a fraction-free condensation with one pivot
-rule, reading and writing only entries right of the diagonal: the lower
-triangle is never read, so its values do not matter. At row s it takes
-the first nonzero entry a[s][j] right of the diagonal, swaps index j into
-place s+1 (each swap flips the sign; the entries between the two indices
-cross the diagonal, so the swap moves them negated, and rows before s are
-finished and never read again), replaces the trailing block's upper
-triangle, j > i, by
+Two kernels give the Pfaffian and the nullity. Both read and write only
+entries right of the diagonal: the lower triangle is never read, so its
+values do not matter. At row s each takes a nonzero entry a[s][j] right of
+the diagonal as the pivot pair's partner, swaps index j into place s+1
+(each swap flips the sign; the entries between the two indices cross the
+diagonal, so the swap moves them negated, and rows before s are finished
+and never read again), updates the trailing block's upper triangle, j > i,
+and advances two rows. A row s with no nonzero entry right of the diagonal
+vanishes on the trailing block, so it is a kernel vector: the kernels pass
+over it and advance one row. The nullity is d minus twice the pivots
+taken, and the Pfaffian is 0 unless the nullity is 0.
+
+``_schur``, the one ``classify_cells`` runs first, takes a +-1 partner when
+row s has one, else the first nonzero entry, and replaces the trailing
+block by the exact Schur complement of the pivot pair,
+
+    a[i][j] <- a[i][j] + (a[s+1][i] / p) * a[s][j] - (a[s][i] / p) * a[s+1][j]
+
+with p = a[s][s+1]; the Pfaffian is the sign times the product of the
+pivots. Each trailing row coupled to a pivot row divides its two couplings
+by p, as a product when |p| is 1 and by ``divmod`` otherwise; a row coupled
+to neither is not touched, so there is no rescale. A coupling that p does
+not divide sends its row through ``divmod`` entry by entry, and an entry
+that leaves a remainder ends the kernel with ``None``: it never rounds. On
+diagrams' matrices the entries stay within a few small integers, which
+CPython does not allocate.
+
+``_condense``, the fallback and the oracle, is fraction-free (Bareiss) and
+takes the first nonzero partner:
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
-with p = a[s][s+1], and advances two rows. Row i's update takes one of
-three cases by its couplings to the pivot rows, a[s][i] and a[s+1][i]:
-coupled to both, it takes the whole formula; coupled to one, its one
-product, that coupling (negated for a[s][i]) times the other pivot row;
-coupled to neither, it is only rescaled, p * a[i][j] // prev, and left as
-it is when p == prev. A row s with no nonzero entry right of the diagonal
-vanishes on the trailing block, so it is a kernel vector: the kernel passes
-over it and advances one row. Dropping an index leaves a principal
-submatrix, so every intermediate entry is still the Pfaffian of a principal
-submatrix of the (swapped) input, the division by the previous pivot is
-exact and everything stays in integers. The nullity is d minus twice the
-pivots taken; when it is 0 the last pivot, times the sign, is the Pfaffian,
-and otherwise the Pfaffian is 0. Python's unbounded integers make this
-kernel valid for any dimension.
+Row i's update takes one of three cases by its couplings to the pivot rows,
+a[s][i] and a[s+1][i]: coupled to both, it takes the whole formula; coupled
+to one, its one product, that coupling (negated for a[s][i]) times the
+other pivot row; coupled to neither, it is only rescaled, p * a[i][j] //
+prev, and left as it is when p == prev. Dropping an index leaves a
+principal submatrix, so every intermediate entry is still the Pfaffian of
+a principal submatrix of the (swapped) input, the division by the previous
+pivot is exact and everything stays in integers; the last pivot, times the
+sign, is the Pfaffian. Python's unbounded integers make both kernels valid
+for any dimension.
 """
 
 from collections.abc import Sequence
@@ -90,6 +107,82 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
     return (0 if nullity else sign * prev), nullity
 
 
+def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
+    # returns (pfaffian, nullity), or None when an entry's division leaves
+    # a remainder; `a` is destroyed
+    sign = 1
+    pf = 1
+    pairs = 0
+    s = 0
+    while s < d - 1:
+        row_s = a[s]
+        for j0 in range(s + 1, d):
+            if row_s[j0]:
+                break
+        else:
+            # row s vanishes on the trailing block: a kernel vector
+            s += 1
+            continue
+        v = row_s[j0]
+        if v != 1 and v != -1:
+            # a unit partner, if row s has one, keeps the divisions exact
+            for j in range(j0 + 1, d):
+                v = row_s[j]
+                if v == 1 or v == -1:
+                    j0 = j
+                    break
+        t = s + 1
+        if j0 != t:
+            # the same swap as in _condense
+            row_t, row_j = a[j0], a[t]
+            a[t], a[j0] = row_t, row_j
+            row_s[t], row_s[j0] = row_s[j0], row_s[t]
+            for k in range(t + 1, j0):
+                row_k = a[k]
+                row_t[k] = -row_k[j0]
+                row_k[j0] = -row_j[k]
+            row_t[j0] = -row_j[j0]
+            sign = -sign
+        else:
+            row_t = a[t]
+        p = row_s[t]
+        pf *= p
+        unit = p == 1 or p == -1
+        for i in range(s + 2, d):
+            asi = row_s[i]
+            ati = row_t[i]
+            if not asi and not ati:
+                continue
+            row_i = a[i]
+            if unit:
+                # 1 / p == p
+                cs = asi * p
+                ct = ati * p
+            else:
+                cs, rs = divmod(asi, p)
+                ct, rt = divmod(ati, p)
+                if rs or rt:
+                    for j in range(i + 1, d):
+                        q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
+                        if r:
+                            return None
+                        row_i[j] += q
+                    continue
+            if cs and ct:
+                for j in range(i + 1, d):
+                    row_i[j] += ct * row_s[j] - cs * row_t[j]
+            elif cs:
+                for j in range(i + 1, d):
+                    row_i[j] -= cs * row_t[j]
+            else:
+                for j in range(i + 1, d):
+                    row_i[j] += ct * row_s[j]
+        pairs += 1
+        s += 2
+    nullity = d - 2 * pairs
+    return (0 if nullity else sign * pf), nullity
+
+
 def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
     """Skew adjacency matrix of white squares, as fresh nested lists.
 
@@ -129,8 +222,14 @@ def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
 
 
 def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
-    """Pfaffian and nullity of the skew adjacency matrix of white squares."""
-    return _condense(skew_matrix(rows, cols), len(rows))
+    """Pfaffian and nullity of the skew adjacency matrix of white squares.
+
+    The Schur kernel runs first; when an entry's update leaves a remainder
+    on division by the pivot, the Bareiss kernel condenses a fresh copy of
+    the matrix.
+    """
+    d = len(rows)
+    return _schur(skew_matrix(rows, cols), d) or _condense(skew_matrix(rows, cols), d)
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

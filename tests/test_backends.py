@@ -1,4 +1,4 @@
-"""Cross-checks between the exact condensation kernel and slow reference
+"""Cross-checks between the exact condensation kernels and slow reference
 implementations written here from first principles."""
 
 import importlib.util
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cauchon import CauchonDiagram, backend
+from cauchon import CauchonDiagram, backend, enumerate_diagrams
 from cauchon.diagram import white_coordinates
 from conftest import LARGE_SHAPES, random_diagrams
 
@@ -496,3 +496,93 @@ def test_skew_matrix_takes_squares_in_any_order():
 def test_coordinates_of_unequal_lengths_raise(build, cols):
     with pytest.raises(ValueError, match=rf"^rows has 3 coordinates but cols has {len(cols)}$"):
         build([1, 1, 2], cols)
+
+
+# --- the Schur kernel --------------------------------------------------------
+
+
+def _schur(matrix):
+    """What ``backend._schur`` gives on a copy of the rows, which it destroys."""
+    return backend._schur([list(row) for row in matrix], len(matrix))
+
+
+def assert_schur_matches_condense(cells, label):
+    a = backend.skew_matrix(*cells)
+    got = _schur(a)
+    assert got is not None, label
+    assert got == _condense(a), label
+
+
+def test_schur_matches_condense_on_every_small_diagram():
+    # never a remainder on a diagram: the fallback is not needed there
+    count = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for diagram in enumerate_diagrams(m, n):
+                assert_schur_matches_condense(white_coordinates(diagram.row_masks, n), str(diagram))
+                count += 1
+    assert count == 9720
+
+
+def test_schur_matches_condense_on_every_small_grid():
+    # every black/white grid, not only diagrams, reaches matrices no diagram
+    # gives; still no division leaves a remainder
+    count = 0
+    for m in range(2, 5):
+        for n in range(2, 5):
+            for masks in itertools.product(range(1 << n), repeat=m):
+                assert_schur_matches_condense(white_coordinates(masks, n), (m, n, masks))
+                count += 1
+    assert count == 74896
+
+
+def test_schur_matches_condense_on_large_diagrams():
+    large = random_diagrams(LARGE_SHAPES, 80, seed=20261022)
+    assert {(d.rows, d.cols) for d in large} == set(LARGE_SHAPES)
+    for diagram in large:
+        assert_schur_matches_condense(white_coordinates(diagram.row_masks, diagram.cols), str(diagram))
+
+
+def test_schur_gives_condense_or_none_on_general_skew_matrices():
+    # dense entries up to 3, shuffled direct sums of small blocks and sparse
+    # +-1 matrices: some divisions leave remainders, and _schur must then
+    # say None, never a rounded answer; it reads only the upper triangle
+    # (the lower one holds junk in half the trials)
+    rng = random.Random(111)
+    outcomes = {"none": 0, "exact": 0}
+    for trial in range(600):
+        d = rng.randrange(2, 25)
+        if trial % 3 == 0:
+            a = random_skew(rng, d, -3, 3)
+        elif trial % 3 == 1:
+            blocks = []
+            while sum(map(len, blocks)) < d:
+                blocks.append(random_skew(rng, rng.randrange(1, 7), -2, 2))
+            a = direct_sum(*blocks)
+            perm = list(range(len(a)))
+            rng.shuffle(perm)
+            a = [[a[perm[i]][perm[j]] for j in range(len(a))] for i in range(len(a))]
+        else:
+            a = sparse_skew(rng, d, rng.choice((0.1, 0.2, 0.4)))
+        d = len(a)
+        junk = [[rng.randint(-9, 9) if j <= i and trial % 4 < 2 else a[i][j] for j in range(d)] for i in range(d)]
+        got = _schur(junk)
+        if got is None:
+            outcomes["none"] += 1
+        else:
+            assert got == _condense(a), a
+            outcomes["exact"] += 1
+    # both outcomes are common, so both paths run
+    assert outcomes["none"] > 100 and outcomes["exact"] > 100, outcomes
+
+
+def test_classify_cells_falls_back_to_bareiss(monkeypatch):
+    # with the Schur kernel always refusing, classify_cells must give the
+    # same answers, from the Bareiss kernel
+    cells = [white_coordinates(d.row_masks, d.cols) for m, n in [(3, 3), (2, 5)] for d in enumerate_diagrams(m, n)]
+    cells += [white_coordinates(d.row_masks, d.cols) for d in random_diagrams(LARGE_SHAPES, 12, seed=20261023)]
+    expected = [backend.classify_cells(*c) for c in cells]
+    refused = []
+    monkeypatch.setattr(backend, "_schur", lambda a, d: refused.append(d))
+    assert [backend.classify_cells(*c) for c in cells] == expected
+    assert refused == [len(rows) for rows, _ in cells]
