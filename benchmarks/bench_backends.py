@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the exact condensation kernel, large-matrix builds, the cycle nullity, the census and its transfer, in-process.
 
-Classifies (Pfaffian + nullity) every diagram of one shape through the
-kernel and reports the per-diagram timing. On a fixed seeded sample of
-6x8, 7x7 and 8x8 diagrams, shapes too large to enumerate (d up to 64), it
-times the matrix build (``backend.skew_matrix``) and, on the same
-matrices, the Schur kernel that ``classify_cells`` runs
-(``backend._schur``) and the Bareiss fallback (``backend._condense``)
-apart, in us per query. On the shape's diagrams it times
+Classifies (Pfaffian + nullity) every diagram of one shape through
+``backend.classify_cells`` and reports the per-diagram timing, then times
+the matrix build (``backend.skew_matrix``) and, on the same matrices, the
+Schur kernel that ``classify_cells`` runs (``backend._schur``) and the
+Bareiss fallback (``backend._condense``) apart, in us per diagram. On a
+fixed seeded sample of 6x8, 7x7 and 8x8 diagrams, shapes too large to
+enumerate (d up to 64), it times the same three layers in us per query.
+On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
 the kernel's nullity. Then it times the public census, best of
@@ -39,6 +40,8 @@ from cauchon.diagram import _iter_row_masks, white_coordinates
 LARGE_SHAPES = ((6, 8), (7, 7), (8, 8))
 #: diagrams in the large sample, and its seed
 LARGE_SAMPLE, LARGE_SEED = 300, 29
+#: the kernels timed apart: the Schur kernel that ``classify_cells`` runs and its Bareiss fallback
+KERNELS = {"schur": backend._schur, "bareiss": backend._condense}
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -50,6 +53,31 @@ def best_pass(fn, workload, repeats: int) -> float:
             fn(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
+
+
+def layer_times(cells, repeats: int, chunk: int = 4096) -> dict[str, float]:
+    """Best-of-repeats seconds to build the matrices of ``cells`` and to condense them by each kernel.
+
+    Each kernel destroys its matrices, so it condenses its own copies of the
+    same build. The matrices are built ``chunk`` at a time, so a whole
+    shape's diagrams never sit in memory at once.
+    """
+    timings = {"build": [], **{name: [] for name in KERNELS}}
+    for _ in range(repeats):
+        totals = dict.fromkeys(timings, 0.0)
+        for k in range(0, len(cells), chunk):
+            start = time.perf_counter()
+            matrices = [backend.skew_matrix(rows, cols) for rows, cols in cells[k : k + chunk]]
+            totals["build"] += time.perf_counter() - start
+            for name, kernel in KERNELS.items():
+                copies = [[list(row) for row in a] for a in matrices]
+                start = time.perf_counter()
+                for a in copies:
+                    kernel(a, len(a))
+                totals[name] += time.perf_counter() - start
+        for name, total in totals.items():
+            timings[name].append(total)
+    return {name: min(times) for name, times in timings.items()}
 
 
 def large_sample() -> list[tuple[list[int], list[int]]]:
@@ -118,24 +146,14 @@ def classify(args: argparse.Namespace) -> None:
     print(f"shape {args.rows}x{args.cols}: {count} diagrams")
 
     kernel_time = best_pass(backend.classify_cells, workload, args.repeats)
-    print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram)")
+    apart = ", ".join(f"{name} {1e6 * t / count:.2f}" for name, t in layer_times(workload, args.repeats).items())
+    print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram; {apart} us/diagram)")
 
     large = large_sample()
-    kernels = {"schur": backend._schur, "bareiss": backend._condense}
-    timings = {"build": [], **{name: [] for name in kernels}}
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        matrices = [backend.skew_matrix(rows, cols) for rows, cols in large]
-        timings["build"].append(time.perf_counter() - start)
-        for name, kernel in kernels.items():
-            # each kernel destroys its matrices, so it condenses its own copies
-            copies = [[list(row) for row in a] for a in matrices]
-            start = time.perf_counter()
-            for a in copies:
-                kernel(a, len(a))
-            timings[name].append(time.perf_counter() - start)
     sizes = [len(rows) for rows, _ in large]
-    per_query = ", ".join(f"{name} {1e6 * min(times) / len(large):8.2f} us/query" for name, times in timings.items())
+    per_query = ", ".join(
+        f"{name} {1e6 * t / len(large):8.2f} us/query" for name, t in layer_times(large, args.repeats).items()
+    )
     print(
         f"large       : {per_query}  (best of {args.repeats}, "
         f"{len(large)} seeded diagrams of {', '.join(f'{m}x{n}' for m, n in LARGE_SHAPES)}, d {min(sizes)}..{max(sizes)})"

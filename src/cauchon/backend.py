@@ -3,14 +3,15 @@
 Two kernels give the Pfaffian and the nullity. Both read and write only
 entries right of the diagonal: the lower triangle is never read, so its
 values do not matter. At row s each takes a nonzero entry a[s][j] right of
-the diagonal as the pivot pair's partner, swaps index j into place s+1
-(each swap flips the sign; the entries between the two indices cross the
-diagonal, so the swap moves them negated, and rows before s are finished
-and never read again), updates the trailing block's upper triangle, j > i,
-and advances two rows. A row s with no nonzero entry right of the diagonal
-vanishes on the trailing block, so it is a kernel vector: the kernels pass
-over it and advance one row. The nullity is d minus twice the pivots
-taken, and the Pfaffian is 0 unless the nullity is 0.
+the diagonal as the pivot pair's partner, swaps index j into place s+1 by
+the one helper ``_swap`` (each swap flips the sign; the entries between the
+two indices cross the diagonal, so the swap moves them negated, and rows
+before s are finished and never read again), updates the trailing block's
+upper triangle, j > i, and advances two rows. A row s with no nonzero entry
+right of the diagonal vanishes on the trailing block, so it is a kernel
+vector: the kernels pass over it and advance one row. The nullity is d
+minus twice the pivots taken, and the Pfaffian is 0 unless the nullity is
+0.
 
 ``_schur``, the one ``classify_cells`` runs first, takes a +-1 partner when
 row s has one, else the first nonzero entry, and replaces the trailing
@@ -21,9 +22,13 @@ block by the exact Schur complement of the pivot pair,
 with p = a[s][s+1]; the Pfaffian is the sign times the product of the
 pivots. Each trailing row coupled to a pivot row divides its two couplings
 by p, as a product when |p| is 1 and by ``divmod`` otherwise; a row coupled
-to neither is not touched, so there is no rescale. A coupling that p does
-not divide sends its row through ``divmod`` entry by entry, and an entry
-that leaves a remainder ends the kernel with ``None``: it never rounds. On
+to neither is not touched, so there is no rescale. A quotient of +-1 adds or
+subtracts its pivot row, and only other quotients take a product. A
+coupling that p does not divide sends its row entry by entry: the
+numerator a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] is halved by a shift
+when p is +-2 (negated first for -2), where an odd numerator is the
+remainder, and goes through ``divmod`` for any other p. An entry that
+leaves a remainder ends the kernel with ``None``: it never rounds. On
 diagrams' matrices the entries stay within a few small integers, which
 CPython does not allocate.
 
@@ -54,6 +59,22 @@ def active_backend() -> str:
     return "python"
 
 
+def _swap(a: list[list[int]], row_s: list[int], t: int, j: int) -> list[int]:
+    # swap indices t and j > t on the upper triangle, with row s (s < t) the
+    # one earlier row still read, and return the new row t: the tails right
+    # of j trade places with the row lists, entries between the two cross
+    # the diagonal and change sign
+    row_t, row_j = a[j], a[t]
+    a[t], a[j] = row_t, row_j
+    row_s[t], row_s[j] = row_s[j], row_s[t]
+    for k in range(t + 1, j):
+        row_k = a[k]
+        row_t[k] = -row_k[j]
+        row_k[j] = -row_j[k]
+    row_t[j] = -row_j[j]
+    return row_t
+
+
 def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
     # returns (pfaffian, nullity); `a` is destroyed
     sign = 1
@@ -71,17 +92,7 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
             continue
         t = s + 1
         if j0 != t:
-            # swap indices t and j0 on the upper triangle: the tails right
-            # of j0 trade places with the row lists, entries between the two
-            # cross the diagonal and change sign
-            row_t, row_j = a[j0], a[t]
-            a[t], a[j0] = row_t, row_j
-            row_s[t], row_s[j0] = row_s[j0], row_s[t]
-            for k in range(t + 1, j0):
-                row_k = a[k]
-                row_t[k] = -row_k[j0]
-                row_k[j0] = -row_j[k]
-            row_t[j0] = -row_j[j0]
+            row_t = _swap(a, row_s, t, j0)
             sign = -sign
         else:
             row_t = a[t]
@@ -133,15 +144,7 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
                     break
         t = s + 1
         if j0 != t:
-            # the same swap as in _condense
-            row_t, row_j = a[j0], a[t]
-            a[t], a[j0] = row_t, row_j
-            row_s[t], row_s[j0] = row_s[j0], row_s[t]
-            for k in range(t + 1, j0):
-                row_k = a[k]
-                row_t[k] = -row_k[j0]
-                row_k[j0] = -row_j[k]
-            row_t[j0] = -row_j[j0]
+            row_t = _swap(a, row_s, t, j0)
             sign = -sign
         else:
             row_t = a[t]
@@ -162,21 +165,62 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
                 cs, rs = divmod(asi, p)
                 ct, rt = divmod(ati, p)
                 if rs or rt:
-                    for j in range(i + 1, d):
-                        q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
-                        if r:
-                            return None
-                        row_i[j] += q
+                    if p == 2 or p == -2:
+                        # halve by a shift, the sign of p folded into the
+                        # couplings; an odd numerator is a remainder
+                        if p < 0:
+                            asi, ati = -asi, -ati
+                        for j in range(i + 1, d):
+                            x = ati * row_s[j] - asi * row_t[j]
+                            if x & 1:
+                                return None
+                            row_i[j] += x >> 1
+                    else:
+                        for j in range(i + 1, d):
+                            q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
+                            if r:
+                                return None
+                            row_i[j] += q
                     continue
-            if cs and ct:
-                for j in range(i + 1, d):
-                    row_i[j] += ct * row_s[j] - cs * row_t[j]
-            elif cs:
-                for j in range(i + 1, d):
-                    row_i[j] -= cs * row_t[j]
+            # a quotient of +-1 adds or subtracts its pivot row; only other
+            # quotients take a product
+            if not cs:
+                if ct == 1:
+                    for j in range(i + 1, d):
+                        row_i[j] += row_s[j]
+                elif ct == -1:
+                    for j in range(i + 1, d):
+                        row_i[j] -= row_s[j]
+                else:
+                    for j in range(i + 1, d):
+                        row_i[j] += ct * row_s[j]
+            elif not ct:
+                if cs == 1:
+                    for j in range(i + 1, d):
+                        row_i[j] -= row_t[j]
+                elif cs == -1:
+                    for j in range(i + 1, d):
+                        row_i[j] += row_t[j]
+                else:
+                    for j in range(i + 1, d):
+                        row_i[j] -= cs * row_t[j]
+            elif (ct == 1 or ct == -1) and (cs == 1 or cs == -1):
+                if cs == ct:
+                    if ct == 1:
+                        for j in range(i + 1, d):
+                            row_i[j] += row_s[j] - row_t[j]
+                    else:
+                        for j in range(i + 1, d):
+                            row_i[j] -= row_s[j] - row_t[j]
+                elif ct == 1:
+                    for j in range(i + 1, d):
+                        row_i[j] += row_s[j] + row_t[j]
+                else:
+                    for j in range(i + 1, d):
+                        row_i[j] -= row_s[j] + row_t[j]
             else:
                 for j in range(i + 1, d):
-                    row_i[j] += ct * row_s[j]
+                    row_i[j] += ct * row_s[j] - cs * row_t[j]
         pairs += 1
         s += 2
     nullity = d - 2 * pairs

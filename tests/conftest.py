@@ -67,6 +67,24 @@ def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
     return out
 
 
+def random_grids(shapes, count: int, seed: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Deterministic black/white grids as (m, n, row masks), cycling through ``shapes``.
+
+    Each grid draws its share of white squares uniformly from [0, 1), then
+    colours every square alone, so the sample runs from all-black to
+    all-white grids. A set bit is a black square. The grids are seldom
+    diagrams, and reach skew matrices that no diagram gives.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m, n = shapes[k % len(shapes)]
+        white = rng.random()
+        masks = tuple(sum(1 << c for c in range(n) if rng.random() >= white) for _ in range(m))
+        out.append((m, n, masks))
+    return out
+
+
 def decode_states(width: int, states: dict[int, int]) -> dict[tuple[int, tuple[int, ...]], int]:
     """Packed transfer states of width ``width`` as (black-column mask, wires) keys, counts kept.
 

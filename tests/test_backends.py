@@ -16,7 +16,7 @@ import pytest
 
 from cauchon import CauchonDiagram, backend, enumerate_diagrams
 from cauchon.diagram import white_coordinates
-from conftest import LARGE_SHAPES, random_diagrams
+from conftest import LARGE_SHAPES, random_diagrams, random_grids
 
 
 def reference_pfaffian(a):
@@ -534,6 +534,19 @@ def test_schur_matches_condense_on_every_small_grid():
                 assert_schur_matches_condense(white_coordinates(masks, n), (m, n, masks))
                 count += 1
     assert count == 74896
+
+
+def test_schur_matches_condense_on_random_grids():
+    # past 4x4: 40 random grids of every shape up to 9x11 (d up to 99),
+    # sparse to all-white
+    shapes = [(m, n) for m in range(1, 10) for n in range(1, 12)]
+    grids = random_grids(shapes, 40 * len(shapes), seed=20261020)
+    sizes = []
+    for m, n, masks in grids:
+        cells = white_coordinates(masks, n)
+        assert_schur_matches_condense(cells, (m, n, masks))
+        sizes.append(len(cells[0]))
+    assert len(grids) == 3960 and max(sizes) > 90, max(sizes)
 
 
 def test_schur_matches_condense_on_large_diagrams():

@@ -8,6 +8,7 @@ has filled caches that would hide a call.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,7 @@ def test_layer_benchmark_runs():
     shape, kernel, large, cycles, record, transfer = done.stdout.splitlines()
     assert shape == "shape 2x3: 46 diagrams"
     assert kernel.startswith("kernel      : ") and kernel.endswith(" us/diagram)")
+    assert re.search(r" us/diagram; build [\d.]+, schur [\d.]+, bareiss [\d.]+ us/diagram\)$", kernel), kernel
     assert large.startswith("large       : build ") and " us/query, schur " in large
     assert " us/query, bareiss " in large and large.index("schur") < large.index("bareiss")
     assert cycles.startswith("cycles      : ") and cycles.endswith(", 0 mismatches against the kernel)")
