@@ -24,29 +24,24 @@ pivots. Each trailing row coupled to a pivot row divides its two couplings
 by p, as a product when |p| is 1 and by ``divmod`` otherwise; a row coupled
 to neither is not touched, so there is no rescale. A quotient of +-1 adds or
 subtracts its pivot row, and only other quotients take a product. A
-coupling that p does not divide sends its row entry by entry: the
-numerator a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] is halved by a shift
-when p is +-2 (negated first for -2), where an odd numerator is the
-remainder, and goes through ``divmod`` for any other p. An entry that
-leaves a remainder ends the kernel with ``None``: it never rounds. On
-diagrams' matrices the entries stay within a few small integers, which
-CPython does not allocate.
+coupling that p does not divide sends its row entry by entry, each
+numerator a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] through ``divmod``,
+and an entry that leaves a remainder ends the kernel with ``None``: it
+never rounds. On diagrams' matrices the entries stay within a few small
+integers, which CPython does not allocate.
 
 ``_condense``, the fallback and the oracle, is fraction-free (Bareiss) and
 takes the first nonzero partner:
 
     a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
 
-Row i's update takes one of three cases by its couplings to the pivot rows,
-a[s][i] and a[s+1][i]: coupled to both, it takes the whole formula; coupled
-to one, its one product, that coupling (negated for a[s][i]) times the
-other pivot row; coupled to neither, it is only rescaled, p * a[i][j] //
-prev, and left as it is when p == prev. Dropping an index leaves a
-principal submatrix, so every intermediate entry is still the Pfaffian of
-a principal submatrix of the (swapped) input, the division by the previous
-pivot is exact and everything stays in integers; the last pivot, times the
-sign, is the Pfaffian. Python's unbounded integers make both kernels valid
-for any dimension.
+Every trailing row takes this one formula, with prev the previous pivot
+(1 at the start). Dropping an index leaves a principal submatrix, so every
+intermediate entry is still the Pfaffian of a principal submatrix of the
+(swapped) input, the division by the previous pivot is exact and
+everything stays in integers; the last pivot, times the sign, is the
+Pfaffian. Python's unbounded integers make both kernels valid for any
+dimension.
 """
 
 from collections.abc import Sequence
@@ -101,16 +96,8 @@ def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
             asi = row_s[i]
             ati = row_t[i]
             row_i = a[i]
-            if asi and ati:
-                for j in range(i + 1, d):
-                    row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
-            elif asi or ati:
-                c, row_u = (-asi, row_t) if asi else (ati, row_s)
-                for j in range(i + 1, d):
-                    row_i[j] = (p * row_i[j] + c * row_u[j]) // prev
-            elif p != prev:
-                for j in range(i + 1, d):
-                    row_i[j] = p * row_i[j] // prev
+            for j in range(i + 1, d):
+                row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
         prev = p
         pairs += 1
         s += 2
@@ -165,22 +152,11 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
                 cs, rs = divmod(asi, p)
                 ct, rt = divmod(ati, p)
                 if rs or rt:
-                    if p == 2 or p == -2:
-                        # halve by a shift, the sign of p folded into the
-                        # couplings; an odd numerator is a remainder
-                        if p < 0:
-                            asi, ati = -asi, -ati
-                        for j in range(i + 1, d):
-                            x = ati * row_s[j] - asi * row_t[j]
-                            if x & 1:
-                                return None
-                            row_i[j] += x >> 1
-                    else:
-                        for j in range(i + 1, d):
-                            q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
-                            if r:
-                                return None
-                            row_i[j] += q
+                    for j in range(i + 1, d):
+                        q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
+                        if r:
+                            return None
+                        row_i[j] += q
                     continue
             # a quotient of +-1 adds or subtracts its pivot row; only other
             # quotients take a product

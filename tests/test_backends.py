@@ -3,6 +3,7 @@ implementations written here from first principles."""
 
 import importlib.util
 import itertools
+import math
 import os
 import random
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cauchon import CauchonDiagram, backend, enumerate_diagrams
+from cauchon import CauchonDiagram, backend, census, enumerate_diagrams
 from cauchon.diagram import white_coordinates
 from conftest import LARGE_SHAPES, random_diagrams, random_grids
 
@@ -416,9 +417,9 @@ def test_expanded_pfaffian_against_reference():
 
 def test_kernel_on_sparse_matrices_up_to_d24():
     # larger and sparser than the tests above, so that a trailing row
-    # couples to both pivot rows, to one of them or to neither, and an
-    # uncoupled row is rescaled when the pivot moves (p != prev) and left
-    # alone when it does not
+    # couples to both pivot rows, to one of them or to neither, and the
+    # pivot often changes from one pair to the next (p != prev): the one
+    # fraction-free formula must hold for every such row
     rng = random.Random(108)
     for _ in range(120):
         d = rng.randrange(12, 25)
@@ -506,11 +507,19 @@ def _schur(matrix):
     return backend._schur([list(row) for row in matrix], len(matrix))
 
 
-def assert_schur_matches_condense(cells, label):
-    a = backend.skew_matrix(*cells)
+def assert_schur_matches_condense(masks, n, label):
+    """Both kernels agree on the grid of row ``masks`` and width ``n``, and so does the cycle nullity; returns d.
+
+    The even cycles of the grid's wires (``census._diagram_wires``) give the
+    nullity of every diagram (Bell, Casteels and Launois 2012). On a grid
+    that is no diagram the rule is only observed: no counterexample found.
+    """
+    a = backend.skew_matrix(*white_coordinates(masks, n))
     got = _schur(a)
     assert got is not None, label
     assert got == _condense(a), label
+    assert census._even_cycles(census._diagram_wires(n, masks)) == got[1], label
+    return len(a)
 
 
 def test_schur_matches_condense_on_every_small_diagram():
@@ -519,7 +528,7 @@ def test_schur_matches_condense_on_every_small_diagram():
     for m in range(1, 5):
         for n in range(1, 5):
             for diagram in enumerate_diagrams(m, n):
-                assert_schur_matches_condense(white_coordinates(diagram.row_masks, n), str(diagram))
+                assert_schur_matches_condense(diagram.row_masks, n, str(diagram))
                 count += 1
     assert count == 9720
 
@@ -531,7 +540,7 @@ def test_schur_matches_condense_on_every_small_grid():
     for m in range(2, 5):
         for n in range(2, 5):
             for masks in itertools.product(range(1 << n), repeat=m):
-                assert_schur_matches_condense(white_coordinates(masks, n), (m, n, masks))
+                assert_schur_matches_condense(masks, n, (m, n, masks))
                 count += 1
     assert count == 74896
 
@@ -543,9 +552,7 @@ def test_schur_matches_condense_on_random_grids():
     grids = random_grids(shapes, 40 * len(shapes), seed=20261020)
     sizes = []
     for m, n, masks in grids:
-        cells = white_coordinates(masks, n)
-        assert_schur_matches_condense(cells, (m, n, masks))
-        sizes.append(len(cells[0]))
+        sizes.append(assert_schur_matches_condense(masks, n, (m, n, masks)))
     assert len(grids) == 3960 and max(sizes) > 90, max(sizes)
 
 
@@ -553,7 +560,7 @@ def test_schur_matches_condense_on_large_diagrams():
     large = random_diagrams(LARGE_SHAPES, 80, seed=20261022)
     assert {(d.rows, d.cols) for d in large} == set(LARGE_SHAPES)
     for diagram in large:
-        assert_schur_matches_condense(white_coordinates(diagram.row_masks, diagram.cols), str(diagram))
+        assert_schur_matches_condense(diagram.row_masks, diagram.cols, str(diagram))
 
 
 def test_schur_gives_condense_or_none_on_general_skew_matrices():
@@ -599,3 +606,128 @@ def test_classify_cells_falls_back_to_bareiss(monkeypatch):
     monkeypatch.setattr(backend, "_schur", lambda a, d: refused.append(d))
     assert [backend.classify_cells(*c) for c in cells] == expected
     assert refused == [len(rows) for rows, _ in cells]
+
+
+# --- a modular Pfaffian oracle for large d -----------------------------------
+
+#: Mersenne primes 2^61 - 1, 2^89 - 1, 2^107 - 1 and 2^127 - 1
+MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def pfaffian_mod(a, q):
+    """Pf(a) mod the prime ``q`` by skew elimination on the full matrix.
+
+    Both triangles are stored. The pivot partner is moved into place by
+    swapping its row and column, which flips the sign, and the trailing
+    block is updated by congruence, on both sides of the diagonal.
+    """
+    d = len(a)
+    if d % 2:
+        return 0
+    m = [[v % q for v in row] for row in a]
+    pf = 1
+    for s in range(0, d, 2):
+        t = s + 1
+        k = next((k for k in range(t, d) if m[s][k]), None)
+        if k is None:
+            return 0
+        if k != t:
+            m[t], m[k] = m[k], m[t]
+            for row in m:
+                row[t], row[k] = row[k], row[t]
+            pf = -pf
+        row_s, row_t = m[s], m[t]
+        pf = pf * row_s[t] % q
+        inv = pow(row_s[t], -1, q)
+        for i in range(t + 1, d):
+            row_i = m[i]
+            cs = row_i[s] * inv % q
+            ct = row_i[t] * inv % q
+            if cs or ct:
+                for j in range(t + 1, d):
+                    row_i[j] = (row_i[j] + cs * row_t[j] - ct * row_s[j]) % q
+    return pf
+
+
+def modular_pfaffian(a):
+    """The exact Pfaffian of ``a``, from its residues mod ``MERSENNE_PRIMES`` lifted by CRT.
+
+    By Hadamard, |Pf|^2 = |det| <= the product of the rows' norms, so
+    B = floor((product of ||row||^2)^(1/4)) + 1 bounds |Pf|. Primes are
+    taken until their product passes 2B, and the symmetric residue is the
+    Pfaffian. It shares no code with ``cauchon.backend``.
+    """
+    norms = 1
+    for row in a:
+        norms *= sum(v * v for v in row)
+    bound = math.isqrt(math.isqrt(norms)) + 1
+    residue, modulus = 0, 1
+    for q in MERSENNE_PRIMES:
+        residue += modulus * ((pfaffian_mod(a, q) - residue) * pow(modulus, -1, q) % q)
+        modulus *= q
+        if modulus > 2 * bound:
+            return residue if 2 * residue <= modulus else residue - modulus
+    raise AssertionError(f"the primes do not pass twice the bound {bound}")
+
+
+def matched_sparse_skew(rng, d):
+    """A shuffled perfect matching of +-1 entries plus 2 % random +-1 entries, so that pivot partners stand far apart."""
+    a = sparse_skew(rng, d, 0.02)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    for k in range(0, d - 1, 2):
+        i, j = sorted(perm[k : k + 2])
+        v = rng.choice((-1, 1))
+        a[i][j] = v
+        a[j][i] = -v
+    return a
+
+
+def test_modular_pfaffian_against_reference():
+    # small entries, entries up to 10^12 (whose bound takes more than one
+    # prime) and sparse matrices up to d = 24
+    rng = random.Random(112)
+    for trial in range(300):
+        d = rng.randrange(0, 9)
+        a = random_skew(rng, d, -3, 3) if trial % 2 else low_rank_skew(rng, d, rng.randrange(0, d // 2 + 1))
+        assert modular_pfaffian(a) == reference_pfaffian(a), a
+    for _ in range(40):
+        a = sparse_skew(rng, rng.randrange(12, 25), rng.choice((0.15, 0.25)))
+        assert modular_pfaffian(a) == expanded_pfaffian(a), a
+
+
+def test_kernels_match_modular_pfaffian_at_large_d():
+    # above d = 24 the kernels were checked only against each other, and
+    # both move a pivot partner with _swap; the oracle shares no code with
+    # them. Diagrams and grids are built pairwise for the oracle. The
+    # shuffled matchings put pivot partners far apart, so a swap reaches
+    # far past its row; both kernels must give the oracle's value, or
+    # _schur None
+    found = {"diagram": [0, 0], "grid": [0, 0], "matching": [0, 0]}  # nonzero, negative
+
+    def tally(kind, pf):
+        found[kind][0] += pf != 0
+        found[kind][1] += pf < 0
+
+    for diagram in random_diagrams(LARGE_SHAPES, 160, seed=20261024):
+        cells = white_coordinates(diagram.row_masks, diagram.cols)
+        pf = modular_pfaffian(pairwise_skew_matrix(*cells))
+        assert backend.classify_cells(*cells)[0] == pf, str(diagram)
+        tally("diagram", pf)
+    shapes = [(m, n) for m in range(1, 10) for n in range(1, 12)]
+    for m, n, masks in random_grids(shapes, 3 * len(shapes), seed=20261024):
+        cells = white_coordinates(masks, n)
+        pf = modular_pfaffian(pairwise_skew_matrix(*cells))
+        assert backend.classify_cells(*cells)[0] == pf, (m, n, masks)
+        tally("grid", pf)
+    rng = random.Random(113)
+    for _ in range(100):
+        a = matched_sparse_skew(rng, 2 * rng.randrange(15, 46))
+        pf = modular_pfaffian(a)
+        got = _schur(a)
+        assert _condense(a)[0] == pf, a
+        assert got is None or got[0] == pf, a
+        tally("matching", pf)
+    # nonzero and negative Pfaffians in every family, so that the test
+    # cannot pass on zeros alone
+    assert all(nonzero >= 20 and negative >= 10 for nonzero, negative in found.values()), found
