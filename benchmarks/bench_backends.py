@@ -4,10 +4,10 @@
 Classifies (Pfaffian + nullity) every diagram of one shape through
 ``backend.classify_cells`` and reports the per-diagram timing, then times
 the matrix build (``backend.skew_matrix``) and, on the same matrices, the
-Schur kernel that ``classify_cells`` runs (``backend._schur``) and the
-Bareiss fallback (``backend._condense``) apart, in us per diagram. On a
-fixed seeded sample of 6x8, 7x7 and 8x8 diagrams, shapes too large to
-enumerate (d up to 64), it times the same three layers in us per query.
+Schur kernel that ``classify_cells`` runs (``backend._schur``) apart, in
+us per diagram. On a fixed seeded sample of 6x8, 7x7 and 8x8 diagrams,
+shapes too large to enumerate (d up to 64), it times the same two layers
+in us per query.
 On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
@@ -40,8 +40,6 @@ from cauchon.diagram import _iter_row_masks, white_coordinates
 LARGE_SHAPES = ((6, 8), (7, 7), (8, 8))
 #: diagrams in the large sample, and its seed
 LARGE_SAMPLE, LARGE_SEED = 300, 29
-#: the kernels timed apart: the Schur kernel that ``classify_cells`` runs and its Bareiss fallback
-KERNELS = {"schur": backend._schur, "bareiss": backend._condense}
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -56,25 +54,22 @@ def best_pass(fn, workload, repeats: int) -> float:
 
 
 def layer_times(cells, repeats: int, chunk: int = 4096) -> dict[str, float]:
-    """Best-of-repeats seconds to build the matrices of ``cells`` and to condense them by each kernel.
+    """Best-of-repeats seconds to build the matrices of ``cells`` and to condense them by the Schur kernel.
 
-    Each kernel destroys its matrices, so it condenses its own copies of the
-    same build. The matrices are built ``chunk`` at a time, so a whole
-    shape's diagrams never sit in memory at once.
+    The matrices are built ``chunk`` at a time, so a whole shape's diagrams
+    never sit in memory at once.
     """
-    timings = {"build": [], **{name: [] for name in KERNELS}}
+    timings = {"build": [], "schur": []}
     for _ in range(repeats):
         totals = dict.fromkeys(timings, 0.0)
         for k in range(0, len(cells), chunk):
             start = time.perf_counter()
             matrices = [backend.skew_matrix(rows, cols) for rows, cols in cells[k : k + chunk]]
             totals["build"] += time.perf_counter() - start
-            for name, kernel in KERNELS.items():
-                copies = [[list(row) for row in a] for a in matrices]
-                start = time.perf_counter()
-                for a in copies:
-                    kernel(a, len(a))
-                totals[name] += time.perf_counter() - start
+            start = time.perf_counter()
+            for a in matrices:
+                backend._schur(a, len(a))
+            totals["schur"] += time.perf_counter() - start
         for name, total in totals.items():
             timings[name].append(total)
     return {name: min(times) for name, times in timings.items()}

@@ -1,47 +1,36 @@
-"""Exact condensation kernels for skew-symmetric integer matrices.
+"""Exact condensation kernel for skew-symmetric integer matrices.
 
-Two kernels give the Pfaffian and the nullity. Both read and write only
+``_schur`` gives the Pfaffian and the nullity. It reads and writes only
 entries right of the diagonal: the lower triangle is never read, so its
-values do not matter. At row s each takes a nonzero entry a[s][j] right of
-the diagonal as the pivot pair's partner, swaps index j into place s+1 by
-the one helper ``_swap`` (each swap flips the sign; the entries between the
-two indices cross the diagonal, so the swap moves them negated, and rows
-before s are finished and never read again), updates the trailing block's
-upper triangle, j > i, and advances two rows. A row s with no nonzero entry
-right of the diagonal vanishes on the trailing block, so it is a kernel
-vector: the kernels pass over it and advance one row. The nullity is d
-minus twice the pivots taken, and the Pfaffian is 0 unless the nullity is
-0.
-
-``_schur``, the one ``classify_cells`` runs first, takes a +-1 partner when
-row s has one, else the first nonzero entry, and replaces the trailing
-block by the exact Schur complement of the pivot pair,
+values do not matter. At row s it takes a nonzero entry a[s][j] right of
+the diagonal as the pivot pair's partner, a +-1 one when row s has one,
+else the first, and swaps index j into place s+1 by ``_swap`` (each swap
+flips the sign; the entries between the two indices cross the diagonal, so
+the swap moves them negated, and rows before s are finished and never read
+again). It replaces the trailing block's upper triangle, j > i, by the
+exact Schur complement of the pivot pair,
 
     a[i][j] <- a[i][j] + (a[s+1][i] / p) * a[s][j] - (a[s][i] / p) * a[s+1][j]
 
-with p = a[s][s+1]; the Pfaffian is the sign times the product of the
-pivots. Each trailing row coupled to a pivot row divides its two couplings
-by p, as a product when |p| is 1 and by ``divmod`` otherwise; a row coupled
-to neither is not touched, so there is no rescale. A quotient of +-1 adds or
+with p = a[s][s+1], and advances two rows. A row s with no nonzero entry
+right of the diagonal vanishes on the trailing block, so it is a kernel
+vector: the kernel passes over it and advances one row. The nullity is d
+minus twice the pivots taken, and the Pfaffian is 0 unless the nullity is
+0, else the sign times the product of the pivots.
+
+Each trailing row coupled to a pivot row divides its two couplings by p, as
+a product when |p| is 1 and by ``divmod`` otherwise; a row coupled to
+neither is not touched, so there is no rescale. A quotient of +-1 adds or
 subtracts its pivot row, and only other quotients take a product. A
 coupling that p does not divide sends its row entry by entry, each
 numerator a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] through ``divmod``,
-and an entry that leaves a remainder ends the kernel with ``None``: it
-never rounds. On diagrams' matrices the entries stay within a few small
-integers, which CPython does not allocate.
-
-``_condense``, the fallback and the oracle, is fraction-free (Bareiss) and
-takes the first nonzero partner:
-
-    a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
-
-Every trailing row takes this one formula, with prev the previous pivot
-(1 at the start). Dropping an index leaves a principal submatrix, so every
-intermediate entry is still the Pfaffian of a principal submatrix of the
-(swapped) input, the division by the previous pivot is exact and
-everything stays in integers; the last pivot, times the sign, is the
-Pfaffian. Python's unbounded integers make both kernels valid for any
-dimension.
+and an entry that leaves a remainder becomes the exact
+``fractions.Fraction``: the kernel never rounds, and the product of the
+pivots, the Pfaffian of an integer matrix, is an integer again. No diagram
+or grid sampled leaves the integers, so ``fractions`` is imported only on
+that branch. On diagrams' matrices the entries stay within a few small
+integers, which CPython does not allocate, and Python's unbounded integers
+make the kernel valid for any dimension.
 """
 
 from collections.abc import Sequence
@@ -70,44 +59,8 @@ def _swap(a: list[list[int]], row_s: list[int], t: int, j: int) -> list[int]:
     return row_t
 
 
-def _condense(a: list[list[int]], d: int) -> tuple[int, int]:
+def _schur(a: list[list[int]], d: int) -> tuple[int, int]:
     # returns (pfaffian, nullity); `a` is destroyed
-    sign = 1
-    prev = 1
-    pairs = 0
-    s = 0
-    while s < d - 1:
-        row_s = a[s]
-        for j0 in range(s + 1, d):
-            if row_s[j0]:
-                break
-        else:
-            # row s vanishes on the trailing block: a kernel vector
-            s += 1
-            continue
-        t = s + 1
-        if j0 != t:
-            row_t = _swap(a, row_s, t, j0)
-            sign = -sign
-        else:
-            row_t = a[t]
-        p = row_s[t]
-        for i in range(s + 2, d):
-            asi = row_s[i]
-            ati = row_t[i]
-            row_i = a[i]
-            for j in range(i + 1, d):
-                row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
-        prev = p
-        pairs += 1
-        s += 2
-    nullity = d - 2 * pairs
-    return (0 if nullity else sign * prev), nullity
-
-
-def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
-    # returns (pfaffian, nullity), or None when an entry's division leaves
-    # a remainder; `a` is destroyed
     sign = 1
     pf = 1
     pairs = 0
@@ -155,7 +108,9 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
                     for j in range(i + 1, d):
                         q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
                         if r:
-                            return None
+                            from fractions import Fraction
+
+                            q = Fraction(ati * row_s[j] - asi * row_t[j], p)
                         row_i[j] += q
                     continue
             # a quotient of +-1 adds or subtracts its pivot row; only other
@@ -200,7 +155,7 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int] | None:
         pairs += 1
         s += 2
     nullity = d - 2 * pairs
-    return (0 if nullity else sign * pf), nullity
+    return (0 if nullity else sign * int(pf)), nullity
 
 
 def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
@@ -242,14 +197,8 @@ def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
 
 
 def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
-    """Pfaffian and nullity of the skew adjacency matrix of white squares.
-
-    The Schur kernel runs first; when an entry's update leaves a remainder
-    on division by the pivot, the Bareiss kernel condenses a fresh copy of
-    the matrix.
-    """
-    d = len(rows)
-    return _schur(skew_matrix(rows, cols), d) or _condense(skew_matrix(rows, cols), d)
+    """Pfaffian and nullity of the skew adjacency matrix of white squares, by the Schur kernel."""
+    return _schur(skew_matrix(rows, cols), len(rows))
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

@@ -1,5 +1,5 @@
-"""Cross-checks between the exact condensation kernels and slow reference
-implementations written here from first principles."""
+"""Cross-checks between the exact condensation kernel, a Bareiss oracle and
+slow reference implementations written here from first principles."""
 
 import importlib.util
 import itertools
@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,8 +110,68 @@ def random_skew(rng, d, lo=-1, hi=1):
 
 
 def _condense(matrix):
-    """(Pfaffian, nullity) of ``backend._condense`` on a copy of the rows, which it destroys."""
-    return backend._condense([list(row) for row in matrix], len(matrix))
+    """(Pfaffian, nullity) of ``matrix`` by fraction-free (Bareiss) condensation on a copy of its rows.
+
+    The oracle the Schur kernel is checked against; it shares no code with
+    ``cauchon.backend``. Like the kernel it reads only the upper triangle:
+    at row s it swaps the first nonzero partner j into place s+1 (each swap
+    flips the sign, and the entries between the two indices cross the
+    diagonal negated), then updates every trailing entry j > i by
+
+        a[i][j] <- (p * a[i][j] - a[s][i] * a[s+1][j] + a[s][j] * a[s+1][i]) // prev
+
+    with p = a[s][s+1] and prev the previous pivot (1 at the start). Every
+    intermediate entry is the Pfaffian of a principal submatrix of the
+    swapped input, so the division is exact, and the last pivot, times the
+    sign, is the Pfaffian. A row with no nonzero partner is a kernel vector
+    and is passed over.
+    """
+    a = [list(row) for row in matrix]
+    d = len(a)
+    sign = 1
+    prev = 1
+    pairs = 0
+    s = 0
+    while s < d - 1:
+        row_s = a[s]
+        for j0 in range(s + 1, d):
+            if row_s[j0]:
+                break
+        else:
+            s += 1
+            continue
+        t = s + 1
+        if j0 != t:
+            # swap indices t and j0 on the upper triangle
+            row_t, row_j = a[j0], a[t]
+            a[t], a[j0] = row_t, row_j
+            row_s[t], row_s[j0] = row_s[j0], row_s[t]
+            for k in range(t + 1, j0):
+                row_k = a[k]
+                row_t[k] = -row_k[j0]
+                row_k[j0] = -row_j[k]
+            row_t[j0] = -row_j[j0]
+            sign = -sign
+        row_t = a[t]
+        p = row_s[t]
+        for i in range(s + 2, d):
+            asi = row_s[i]
+            ati = row_t[i]
+            row_i = a[i]
+            for j in range(i + 1, d):
+                row_i[j] = (p * row_i[j] - asi * row_t[j] + row_s[j] * ati) // prev
+        prev = p
+        pairs += 1
+        s += 2
+    nullity = d - 2 * pairs
+    return (0 if nullity else sign * prev), nullity
+
+
+def both_kernels(matrix):
+    """(Pfaffian, nullity) of ``matrix`` by the Bareiss oracle, which the Schur kernel must give too."""
+    got = _condense(matrix)
+    assert _schur(matrix) == got, matrix
+    return got
 
 
 def test_python_kernel_against_reference():
@@ -118,7 +179,7 @@ def test_python_kernel_against_reference():
     for _ in range(300):
         d = rng.randrange(0, 9)
         a = random_skew(rng, d)
-        pf, nul = _condense(a)
+        pf, nul = both_kernels(a)
         assert pf == reference_pfaffian(a)
         assert nul == d - reference_rank(a)
 
@@ -128,7 +189,7 @@ def test_python_kernel_with_large_entries():
     for _ in range(100):
         d = rng.randrange(0, 7)
         a = random_skew(rng, d, lo=-9, hi=9)
-        pf, nul = _condense(a)
+        pf, nul = both_kernels(a)
         assert pf == reference_pfaffian(a)
         assert nul == d - reference_rank(a)
 
@@ -264,8 +325,9 @@ def test_cli_loads_bytecode_after_the_build(tmp_path):
         assert not imported(done.stderr) & {"argparse", "gettext", "json"}
         pfaffian = run_copy(path, "-v", "-m", "cauchon.cli", "pfaffian", "--grid", "grid.txt")
         assert pfaffian.returncode == 0, pfaffian.stderr
-        # the value types are named tuples, and text output needs no JSON
-        assert not imported(pfaffian.stderr) & {"dataclasses", "inspect", "json"}
+        # the value types are named tuples, text output needs no JSON, and
+        # the kernel stays in the integers
+        assert not imported(pfaffian.stderr) & {"dataclasses", "inspect", "json", "fractions"}
     assert runs[built].stdout == runs[unbuilt].stdout
 
 
@@ -338,7 +400,7 @@ def test_kernel_passes_over_vanishing_rows_before_later_pivots():
         else:
             a = low_rank_skew(rng, d, pairs)
         assert max(abs(v) for row in a for v in row) <= 10**12
-        pf, nul = _condense(a)
+        pf, nul = both_kernels(a)
         assert (pf, nul) == (reference_pfaffian(a), d - reference_rank(a)), a
 
 
@@ -365,7 +427,7 @@ def test_kernel_reads_only_the_upper_triangle():
             for i in range(d)
         ]
         expected = (reference_pfaffian(a), d - reference_rank(a))
-        assert _condense(junk) == expected, a
+        assert both_kernels(junk) == expected, a
 
 
 def sparse_skew(rng, d, density):
@@ -424,7 +486,7 @@ def test_kernel_on_sparse_matrices_up_to_d24():
     for _ in range(120):
         d = rng.randrange(12, 25)
         a = sparse_skew(rng, d, rng.choice((0.08, 0.15, 0.25)))
-        assert _condense(a) == (expanded_pfaffian(a), d - reference_rank(a)), a
+        assert both_kernels(a) == (expanded_pfaffian(a), d - reference_rank(a)), a
 
 
 def test_kernel_on_shuffled_direct_sums_up_to_d24():
@@ -448,7 +510,7 @@ def test_kernel_on_shuffled_direct_sums_up_to_d24():
         if trial % 2:
             rng.shuffle(perm)
         shuffled = [[a[perm[i]][perm[j]] for j in range(d)] for i in range(d)]
-        assert _condense(shuffled) == (permutation_sign(perm) * pf, d - rank), shuffled
+        assert both_kernels(shuffled) == (permutation_sign(perm) * pf, d - rank), shuffled
 
 
 def pairwise_skew_matrix(rows, cols):
@@ -507,23 +569,53 @@ def _schur(matrix):
     return backend._schur([list(row) for row in matrix], len(matrix))
 
 
+def fractions_with(fraction):
+    """A stand-in ``fractions`` module whose ``Fraction`` is ``fraction``, for ``sys.modules``.
+
+    The kernel imports ``Fraction`` by name when it leaves the integers, so
+    it gets ``fraction``; the real module, whose arithmetic reads its own
+    ``Fraction``, is not touched.
+    """
+    stand_in = types.ModuleType("fractions")
+    stand_in.Fraction = fraction
+    return stand_in
+
+
+def _refuse_fraction(*args):
+    raise AssertionError(f"the Schur kernel left the integers: Fraction{args}")
+
+
+#: a ``fractions`` whose ``Fraction`` fails the test that reaches it
+INTEGERS_ONLY = fractions_with(_refuse_fraction)
+
+
+def _integer_schur(matrix):
+    """What ``backend._schur`` gives on a copy of the rows, failing if it takes a ``fractions.Fraction``."""
+    real = sys.modules["fractions"]
+    sys.modules["fractions"] = INTEGERS_ONLY
+    try:
+        return _schur(matrix)
+    finally:
+        sys.modules["fractions"] = real
+
+
 def assert_schur_matches_condense(masks, n, label):
-    """Both kernels agree on the grid of row ``masks`` and width ``n``, and so does the cycle nullity; returns d.
+    """The Schur kernel, in integers alone, agrees with the oracle on the grid of row ``masks`` and width ``n``,
+    and so does the cycle nullity; returns d.
 
     The even cycles of the grid's wires (``census._diagram_wires``) give the
     nullity of every diagram (Bell, Casteels and Launois 2012). On a grid
     that is no diagram the rule is only observed: no counterexample found.
     """
     a = backend.skew_matrix(*white_coordinates(masks, n))
-    got = _schur(a)
-    assert got is not None, label
+    got = _integer_schur(a)
     assert got == _condense(a), label
     assert census._even_cycles(census._diagram_wires(n, masks)) == got[1], label
     return len(a)
 
 
 def test_schur_matches_condense_on_every_small_diagram():
-    # never a remainder on a diagram: the fallback is not needed there
+    # never a remainder on a diagram: the kernel stays in the integers
     count = 0
     for m in range(1, 5):
         for n in range(1, 5):
@@ -563,13 +655,20 @@ def test_schur_matches_condense_on_large_diagrams():
         assert_schur_matches_condense(diagram.row_masks, diagram.cols, str(diagram))
 
 
-def test_schur_gives_condense_or_none_on_general_skew_matrices():
+def test_schur_matches_condense_on_general_skew_matrices(monkeypatch):
     # dense entries up to 3, shuffled direct sums of small blocks and sparse
     # +-1 matrices: some divisions leave remainders, and _schur must then
-    # say None, never a rounded answer; it reads only the upper triangle
-    # (the lower one holds junk in half the trials)
+    # go on in exact fractions, never rounding, and still give an int
+    # Pfaffian; it reads only the upper triangle (the lower one holds junk
+    # in half the trials)
+    made = []
+
+    def spy(*args):
+        made.append(trial)
+        return Fraction(*args)
+
+    monkeypatch.setitem(sys.modules, "fractions", fractions_with(spy))
     rng = random.Random(111)
-    outcomes = {"none": 0, "exact": 0}
     for trial in range(600):
         d = rng.randrange(2, 25)
         if trial % 3 == 0:
@@ -587,25 +686,10 @@ def test_schur_gives_condense_or_none_on_general_skew_matrices():
         d = len(a)
         junk = [[rng.randint(-9, 9) if j <= i and trial % 4 < 2 else a[i][j] for j in range(d)] for i in range(d)]
         got = _schur(junk)
-        if got is None:
-            outcomes["none"] += 1
-        else:
-            assert got == _condense(a), a
-            outcomes["exact"] += 1
-    # both outcomes are common, so both paths run
-    assert outcomes["none"] > 100 and outcomes["exact"] > 100, outcomes
-
-
-def test_classify_cells_falls_back_to_bareiss(monkeypatch):
-    # with the Schur kernel always refusing, classify_cells must give the
-    # same answers, from the Bareiss kernel
-    cells = [white_coordinates(d.row_masks, d.cols) for m, n in [(3, 3), (2, 5)] for d in enumerate_diagrams(m, n)]
-    cells += [white_coordinates(d.row_masks, d.cols) for d in random_diagrams(LARGE_SHAPES, 12, seed=20261023)]
-    expected = [backend.classify_cells(*c) for c in cells]
-    refused = []
-    monkeypatch.setattr(backend, "_schur", lambda a, d: refused.append(d))
-    assert [backend.classify_cells(*c) for c in cells] == expected
-    assert refused == [len(rows) for rows, _ in cells]
+        assert got == _condense(a) and type(got[0]) is int, a
+    # the rational path is common, so both paths run
+    rational = len(set(made))
+    assert 100 < rational < 500, rational
 
 
 # --- a modular Pfaffian oracle for large d -----------------------------------
@@ -697,12 +781,11 @@ def test_modular_pfaffian_against_reference():
 
 
 def test_kernels_match_modular_pfaffian_at_large_d():
-    # above d = 24 the kernels were checked only against each other, and
-    # both move a pivot partner with _swap; the oracle shares no code with
-    # them. Diagrams and grids are built pairwise for the oracle. The
+    # above d = 24 the Schur kernel and the Bareiss oracle were checked only
+    # against each other, and both move a pivot partner by the same swap;
+    # this oracle shares no code with either. Diagrams and grids are built pairwise for the oracle. The
     # shuffled matchings put pivot partners far apart, so a swap reaches
-    # far past its row; both kernels must give the oracle's value, or
-    # _schur None
+    # far past its row; both kernels must give the oracle's value
     found = {"diagram": [0, 0], "grid": [0, 0], "matching": [0, 0]}  # nonzero, negative
 
     def tally(kind, pf):
@@ -726,7 +809,7 @@ def test_kernels_match_modular_pfaffian_at_large_d():
         pf = modular_pfaffian(a)
         got = _schur(a)
         assert _condense(a)[0] == pf, a
-        assert got is None or got[0] == pf, a
+        assert got[0] == pf, a
         tally("matching", pf)
     # nonzero and negative Pfaffians in every family, so that the test
     # cannot pass on zeros alone

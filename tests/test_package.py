@@ -287,9 +287,8 @@ def test_layer_benchmark_runs():
     shape, kernel, large, cycles, record, transfer = done.stdout.splitlines()
     assert shape == "shape 2x3: 46 diagrams"
     assert kernel.startswith("kernel      : ") and kernel.endswith(" us/diagram)")
-    assert re.search(r" us/diagram; build [\d.]+, schur [\d.]+, bareiss [\d.]+ us/diagram\)$", kernel), kernel
-    assert large.startswith("large       : build ") and " us/query, schur " in large
-    assert " us/query, bareiss " in large and large.index("schur") < large.index("bareiss")
+    assert re.search(r" us/diagram; build [\d.]+, schur [\d.]+ us/diagram\)$", kernel), kernel
+    assert large.startswith("large       : build ") and large.count(" us/query") == 2 and " us/query, schur " in large
     assert cycles.startswith("cycles      : ") and cycles.endswith(", 0 mismatches against the kernel)")
     assert record.startswith("census      : total=46 primitive=17 in ")
     assert transfer.startswith("transfer    : 12 states at level 3 of width 2, ")
@@ -307,7 +306,6 @@ def test_layer_benchmark_runs():
 UNREACHED = {
     "__init__.__dir__": "module protocol: dir(cauchon) lists the lazy public names",
     "backend.active_backend": "perfbench prints it (ROADMAP item 1, half B)",
-    "backend._condense": "the Bareiss fallback for a Schur division that leaves a remainder, and the kernel oracle the tests call",
     "backend.determinant": "the Bareiss oracle behind the public pfaffian.determinant",
     "census._diagram_wires": "the fold behind the public pfaffian.nullity",
     "checks.check_primitive_1xn": "acceptance criterion 4; ROADMAP item 9 replaces it",
