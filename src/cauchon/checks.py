@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable
 from math import comb
 
 from .census import run_census, run_censuses
-from .criterion import column_label_sum, fully_white_columns, primitive_1xn, primitive_2xn_fast
+from .criterion import _column_label_sums, primitive_1xn, primitive_2xn_fast
 from .diagram import (
     CauchonDiagram,
     count_diagrams,
@@ -219,14 +219,15 @@ def check_lemma_decomposition(max_n: int) -> CheckReport:
             if diagram.black_column_mask():
                 continue
             diagrams += 1
-            vert = fully_white_columns(diagram)
+            label_sums = _column_label_sums(diagram)
+            vert = list(label_sums)
             m, m_prime = (n - mask.bit_count() for mask in diagram.row_masks)
             sums = vertical_edge_sums(diagram)
             for bits in range(1 << len(vert)):
                 subset = [vert[i] for i in range(len(vert)) if bits >> i & 1]
                 subsets += 1
                 brute = sums.get(frozenset(subset), 0)
-                label_sum = column_label_sum(diagram, subset)
+                label_sum = sum(label_sums[col] for col in subset)
                 closed = _vert_closed_form(len(subset), label_sum, m, m_prime)
                 if brute != closed:
                     failures.append(

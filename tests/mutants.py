@@ -153,6 +153,23 @@ CATALOGUE = (
         ("test_matching.py",),
     ),
     Mutant("vert-closed-form-binomial", "checks", "comb(t_size + 1, 2)", "comb(t_size, 2)", ("test_census.py",)),
+    # the two-row criterion: its right-hand side, its parity gate, and the
+    # table of fully white columns keeping a column white in row 2 alone
+    Mutant("criterion-rhs-2m", "criterion", "(2 * m + 2) % 4", "(2 * m) % 4", ("test_criterion.py",)),
+    Mutant(
+        "criterion-no-parity-gate",
+        "criterion",
+        "if (top.bit_count() - bottom.bit_count()) % 2:\n        return False\n",
+        "pass\n",
+        ("test_criterion.py",),
+    ),
+    Mutant(
+        "label-sums-keep-single-white",
+        "criterion",
+        "elif col in upper:\n            sums[col] = upper[col] + label\n",
+        "else:\n            sums[col] = upper.get(col, 0) + label\n",
+        ("test_criterion.py",),
+    ),
 )
 
 
