@@ -5,9 +5,9 @@ Classifies (Pfaffian + nullity) every diagram of one shape through
 ``backend.classify_cells`` and reports the per-diagram timing, then times
 the matrix build (``backend.skew_matrix``) and, on the same matrices, the
 Schur kernel that ``classify_cells`` runs (``backend._schur``) apart, in
-us per diagram. On a fixed seeded sample of 6x8, 7x7 and 8x8 diagrams,
-shapes too large to enumerate (d up to 64), it times the same two layers
-in us per query.
+us per diagram. On query-large's own batch, perfbench's seed-1 600 queries
+of 6x8, 7x7 and 8x8 (``perfbench/inputs.py``, d 27..63), shapes too large
+to enumerate, it times the same two layers in us per query.
 On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
@@ -29,17 +29,19 @@ shapes too large to classify one diagram at a time:
 """
 
 import argparse
-import random
+import importlib.util
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 from cauchon import backend, census
 from cauchon.diagram import _iter_row_masks, white_coordinates
 
-#: the large sample's shapes, too large to enumerate, drawn in turn
-LARGE_SHAPES = ((6, 8), (7, 7), (8, 8))
-#: diagrams in the large sample, and its seed
-LARGE_SAMPLE, LARGE_SEED = 300, 29
+#: perfbench's workload inputs, read but not changed here
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+#: the seed of query-large's batch
+QUERY_SEED = 1
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -73,28 +75,6 @@ def layer_times(cells, repeats: int, chunk: int = 4096) -> dict[str, float]:
         for name, total in totals.items():
             timings[name].append(total)
     return {name: min(times) for name, times in timings.items()}
-
-
-def large_sample() -> list[tuple[list[int], list[int]]]:
-    """White-square coordinates of the seeded large sample.
-
-    Each row is drawn from the rows admissible under the ones above it,
-    weighted by 2 to the power of its white squares, so the sample leans to
-    large d.
-    """
-    rng = random.Random(LARGE_SEED)
-    sample = []
-    for k in range(LARGE_SAMPLE):
-        m, n = LARGE_SHAPES[k % len(LARGE_SHAPES)]
-        above = (1 << n) - 1
-        masks = []
-        for _ in range(m):
-            rows = census._row_candidates(n, above)
-            mask = rng.choices(rows, [2 ** (n - row.bit_count()) for row in rows])[0]
-            masks.append(mask)
-            above &= mask
-        sample.append(white_coordinates(masks, n))
-    return sample
 
 
 def transfer_bytes(width: int, rows: int) -> tuple[int, float, float]:
@@ -134,7 +114,7 @@ def main() -> None:
 
 
 def classify(args: argparse.Namespace) -> None:
-    """Time the kernel, the cycle nullity and the census on every diagram of the shape, and the large sample."""
+    """Time the kernel, the cycle nullity and the census on every diagram of the shape, and query-large's batch."""
     diagrams = list(_iter_row_masks(args.rows, args.cols))
     workload = [white_coordinates(masks, args.cols) for masks in diagrams]
     count = len(workload)
@@ -144,14 +124,19 @@ def classify(args: argparse.Namespace) -> None:
     apart = ", ".join(f"{name} {1e6 * t / count:.2f}" for name, t in layer_times(workload, args.repeats).items())
     print(f"kernel      : {kernel_time:8.3f}s  ({1e6 * kernel_time / count:8.2f} us/diagram; {apart} us/diagram)")
 
-    large = large_sample()
+    # registered before it runs: its dataclass looks its own module up
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    large = [white_coordinates(masks, n) for _, n, masks in inputs.query_batch(QUERY_SEED)]
     sizes = [len(rows) for rows, _ in large]
     per_query = ", ".join(
         f"{name} {1e6 * t / len(large):8.2f} us/query" for name, t in layer_times(large, args.repeats).items()
     )
+    shapes = [f"{m}x{n}" for m, n in inputs.QUERY_SHAPES]
     print(
-        f"large       : {per_query}  (best of {args.repeats}, "
-        f"{len(large)} seeded diagrams of {', '.join(f'{m}x{n}' for m, n in LARGE_SHAPES)}, d {min(sizes)}..{max(sizes)})"
+        f"large       : {per_query}  (best of {args.repeats}, query-large's batch: {len(large)} queries of "
+        f"{', '.join(shapes[:-1])} and {shapes[-1]}, seed {QUERY_SEED}, d {min(sizes)}..{max(sizes)})"
     )
 
     def cycle_nullity(masks):

@@ -90,6 +90,13 @@ def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     length, and for one run length by doubling the list over its free
     columns from the rightmost one in, so each added column outranks the
     ones before it. The full row comes last.
+
+    So the index layout is fixed: one block for each p = 0, ..., n - 1 in
+    turn, of 2^|free_p| rows, where free_p are the fully-black columns right
+    of column p + 1; within a block the rightmost free column is the index's
+    lowest bit, the next one in its next bit, and so on; then the full row.
+    The tests' sampler (``conftest.admissible_row``) builds the row at an
+    index from this layout without listing the rows.
     """
     out: list[int] = []
     for p in range(n):

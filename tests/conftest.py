@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cauchon import CauchonDiagram, enumerate_diagrams, enumerate_matchings, matching_sign
-from cauchon.census import _row_candidates, _state_wires
+from cauchon.census import _state_wires
 
 # A well-formed 4x6 grid with 14 white squares; black cells exercise both
 # clauses of the diagram condition.
@@ -51,7 +51,9 @@ def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
     """Deterministic diagrams of shapes too large to enumerate, cycling through ``shapes``.
 
     Each row is drawn uniformly from the rows admissible under the ones
-    above it (the census's ``_row_candidates``), so every draw is a diagram.
+    above it: one index into the census's ``_row_candidates`` order, built
+    by ``admissible_row`` without listing the rows, so every draw is a
+    diagram and any width is cheap.
     """
     rng = random.Random(seed)
     out = []
@@ -60,11 +62,28 @@ def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
         above = (1 << n) - 1
         masks = []
         for _ in range(m):
-            row = rng.choice(_row_candidates(n, above))
+            # 2^|free_p| rows for each run length p, and the full row
+            count_rows = 1 + sum(1 << (above >> p + 1).bit_count() for p in range(n))
+            row = admissible_row(n, above, rng.randrange(count_rows))
             masks.append(row)
             above &= row
         out.append(CauchonDiagram(m, n, tuple(masks)))
     return out
+
+
+def admissible_row(n: int, above: int, index: int) -> int:
+    """The row at ``index`` of ``census._row_candidates(n, above)``, built without listing the rows.
+
+    That function's docstring states the index layout: a block of
+    2^|free_p| rows for each leading run length p, whose index bit j
+    blackens the j-th free column from the right, then the full row.
+    """
+    for p in range(n):
+        free = [bit for bit in range(n - 1, p, -1) if above >> bit & 1]
+        if index < 1 << len(free):
+            return sum((1 << bit for j, bit in enumerate(free) if index >> j & 1), (1 << p) - 1)
+        index -= 1 << len(free)
+    return (1 << n) - 1
 
 
 def random_grids(shapes, count: int, seed: int) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -655,6 +655,22 @@ def test_schur_matches_condense_on_large_diagrams():
         assert_schur_matches_condense(diagram.row_masks, diagram.cols, str(diagram))
 
 
+def test_cycle_nullity_matches_schur_on_wide_diagrams():
+    # widths whose first rows are too many to list: 2 x 20..40 and 3 x 12..30,
+    # two draws of each shape, checked in integers alone
+    shapes = [(2, n) for n in range(20, 41)] + [(3, n) for n in range(12, 31)]
+    nullities, sizes = [], []
+    for diagram in random_diagrams(shapes, 2 * len(shapes), seed=20261025):
+        n, masks = diagram.cols, diagram.row_masks
+        a = backend.skew_matrix(*white_coordinates(masks, n))
+        nullity = _integer_schur(a)[1]
+        assert census._even_cycles(census._diagram_wires(n, masks)) == nullity, str(diagram)
+        nullities.append(nullity)
+        sizes.append(len(a))
+    assert sum(k == 0 for k in nullities) >= 20 and sum(k > 0 for k in nullities) >= 20, nullities
+    assert max(sizes) > 60, max(sizes)
+
+
 def test_schur_matches_condense_on_general_skew_matrices(monkeypatch):
     # dense entries up to 3, shuffled direct sums of small blocks and sparse
     # +-1 matrices: some divisions leave remainders, and _schur must then

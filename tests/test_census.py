@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,8 +17,8 @@ from cauchon.checks import (
     scan_power_of_two,
 )
 from cauchon.cli import main as cli_main
-from cauchon.diagram import _iter_row_masks, count_diagrams, white_coordinates
-from conftest import decode_states
+from cauchon.diagram import CauchonDiagram, _iter_row_masks, count_diagrams, white_coordinates
+from conftest import admissible_row, decode_states, random_diagrams
 
 
 def test_census_2x2():
@@ -98,6 +99,56 @@ def test_packed_sweep_matches_tuple_oracle(width):
     assert len(levels) == rows + 1
     for k, (packed, spelled) in enumerate(levels):
         assert decode_states(width, packed) == spelled, k
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_admissible_row_indexes_the_row_candidates(n):
+    # the index layout _row_candidates states: blocks by run length, the
+    # rightmost free column as the block index's lowest bit, the full row last
+    for above in range(1 << n):
+        rows = census._row_candidates(n, above)
+        assert rows == tuple(admissible_row(n, above, k) for k in range(len(rows))), above
+
+
+def listing_draws(shapes, count, seed):
+    """Oracle: ``random_diagrams``' draw by listing every admissible row and choosing one."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m, n = shapes[k % len(shapes)]
+        above = (1 << n) - 1
+        masks = []
+        for _ in range(m):
+            row = rng.choice(census._row_candidates(n, above))
+            masks.append(row)
+            above &= row
+        out.append(CauchonDiagram(m, n, tuple(masks)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_diagrams_match_the_listing_draw(seed):
+    # randrange(count) and choice() of a count-long list take the same
+    # _randbelow(count), so the index draw returns the listing draw's diagrams
+    shapes = [(6, 8), (7, 7), (8, 8), (9, 12), (10, 2), (3, 14)]
+    assert random_diagrams(shapes, 120, seed) == listing_draws(shapes, 120, seed)
+
+
+def test_random_diagrams_draw_wide_shapes_in_little_memory():
+    # a first row of width n has 2^n admissible rows, which a listing draw
+    # cannot hold at these widths
+    tracemalloc.start()
+    try:
+        drawn = random_diagrams([(2, 40), (1, 64)], 300, seed=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert [(d.rows, d.cols) for d in drawn] == [(2, 40), (1, 64)] * 150
+    assert all(type(d) is CauchonDiagram for d in drawn)
+    # the draws reach the far columns, and none repeats
+    assert sum(d.row_masks[0] >> 32 != 0 for d in drawn) > 250
+    assert len(set(drawn)) == 300
 
 
 def test_run_censuses_sweeps_each_width_once(monkeypatch):

@@ -280,7 +280,8 @@ print(json.dumps([listed, imported, before, value is home]))
 
 def test_layer_benchmark_runs():
     # the per-layer benchmark imports private names of census, diagram and
-    # backend, and nothing else runs it; a rename must fail here
+    # backend, and times query-large's batch from perfbench's inputs; nothing
+    # else runs it, so a rename must fail here
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backends.py"
     done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
@@ -289,6 +290,7 @@ def test_layer_benchmark_runs():
     assert kernel.startswith("kernel      : ") and kernel.endswith(" us/diagram)")
     assert re.search(r" us/diagram; build [\d.]+, schur [\d.]+ us/diagram\)$", kernel), kernel
     assert large.startswith("large       : build ") and large.count(" us/query") == 2 and " us/query, schur " in large
+    assert large.endswith(" query-large's batch: 600 queries of 6x8, 7x7 and 8x8, seed 1, d 27..63)"), large
     assert cycles.startswith("cycles      : ") and cycles.endswith(", 0 mismatches against the kernel)")
     assert record.startswith("census      : total=46 primitive=17 in ")
     assert transfer.startswith("transfer    : 12 states at level 3 of width 2, ")
