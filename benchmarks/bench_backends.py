@@ -3,11 +3,20 @@
 
 Classifies (Pfaffian + nullity) every diagram of one shape through
 ``backend.classify_cells`` and reports the per-diagram timing, then times
-the matrix build (``backend.skew_matrix``) and, on the same matrices, the
-Schur kernel that ``classify_cells`` runs (``backend._schur``) apart, in
-us per diagram. On query-large's own batch, perfbench's seed-1 600 queries
-of 6x8, 7x7 and 8x8 (``perfbench/inputs.py``, d 27..63), shapes too large
-to enumerate, it times the same two layers in us per query.
+the layers of that call apart, in us per diagram: the line-degree order
+(``backend._line_degree_order``, which runs only from ``backend._ORDER_CUT``
+white squares on), the build of the matrix that ``classify_cells``
+condenses (``backend._ordered_matrix``, the order included, from the cut
+on, and ``backend.skew_matrix`` below it) and, on the same matrices, the
+Schur kernel (``backend._schur``). On query-large's own
+batch, perfbench's seed-1 600 queries of 6x8, 7x7 and 8x8
+(``perfbench/inputs.py``, d 27..63), shapes too large to enumerate, all
+above the cut, it times the same three layers in us per query. The cut
+line draws diagrams of 5x5, 5x6, 6x5 and 6x6 with perfbench's own weighted
+sampler and, for each d within three of the cut, reports how many us a
+call the line-degree order saves (negative) or costs against label order,
+order, build and kernel included: the constant is set where the saving
+starts.
 On the shape's diagrams it times
 the nullity that ``pfaffian.nullity`` runs, the even cycles of the toric
 permutation folded from the row masks, and counts its mismatches against
@@ -30,6 +39,7 @@ shapes too large to classify one diagram at a time:
 
 import argparse
 import importlib.util
+import random
 import sys
 import time
 import tracemalloc
@@ -42,6 +52,9 @@ from cauchon.diagram import _iter_row_masks, white_coordinates
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 #: the seed of query-large's batch
 QUERY_SEED = 1
+#: shapes whose weighted draws put d on both sides of ``backend._ORDER_CUT``, and their seed
+CUT_SHAPES = ((5, 5), (5, 6), (6, 5), (6, 6))
+CUT_SEED = 25
 
 
 def best_pass(fn, workload, repeats: int) -> float:
@@ -56,17 +69,27 @@ def best_pass(fn, workload, repeats: int) -> float:
 
 
 def layer_times(cells, repeats: int, chunk: int = 4096) -> dict[str, float]:
-    """Best-of-repeats seconds to build the matrices of ``cells`` and to condense them by the Schur kernel.
+    """Best-of-repeats seconds to order the squares of ``cells``, to build the matrices ``classify_cells`` condenses and to condense them.
 
-    The matrices are built ``chunk`` at a time, so a whole shape's diagrams
-    never sit in memory at once.
+    The build includes the order, which ``order`` times alone. The matrices
+    are built ``chunk`` at a time, so a whole shape's diagrams never sit in
+    memory at once.
     """
-    timings = {"build": [], "schur": []}
+    timings = {"order": [], "build": [], "schur": []}
     for _ in range(repeats):
         totals = dict.fromkeys(timings, 0.0)
         for k in range(0, len(cells), chunk):
+            part = cells[k : k + chunk]
             start = time.perf_counter()
-            matrices = [backend.skew_matrix(rows, cols) for rows, cols in cells[k : k + chunk]]
+            for rows, cols in part:
+                if len(rows) >= backend._ORDER_CUT:
+                    backend._line_degree_order(rows, cols)
+            totals["order"] += time.perf_counter() - start
+            start = time.perf_counter()
+            matrices = [
+                backend._ordered_matrix(rows, cols)[0] if len(rows) >= backend._ORDER_CUT else backend.skew_matrix(rows, cols)
+                for rows, cols in part
+            ]
             totals["build"] += time.perf_counter() - start
             start = time.perf_counter()
             for a in matrices:
@@ -75,6 +98,39 @@ def layer_times(cells, repeats: int, chunk: int = 4096) -> dict[str, float]:
         for name, total in totals.items():
             timings[name].append(total)
     return {name: min(times) for name, times in timings.items()}
+
+
+def label_order(rows, cols) -> tuple[int, int]:
+    """The condensation of A_C in label order, whatever d: ``classify_cells`` below the cut."""
+    return backend._schur(backend.skew_matrix(rows, cols), len(rows))
+
+
+def line_degree_order(rows, cols) -> tuple[int, int]:
+    """The condensation of A_C in line-degree order, whatever d: ``classify_cells`` from the cut on, but the sign."""
+    return backend._schur(backend._ordered_matrix(rows, cols)[0], len(rows))
+
+
+def cut_savings(inputs, repeats: int, per_d: int = 100) -> dict[int, float]:
+    """For each d within three of the cut, the us a call that line-degree order saves (negative) against label order.
+
+    The diagrams are drawn with perfbench's weighted sampler, seeded, from
+    ``CUT_SHAPES`` until every such d has ``per_d`` of them; each side is
+    the best of ``repeats`` passes over them.
+    """
+    cut = backend._ORDER_CUT
+    wanted = range(cut - 3, cut + 3)
+    rng = random.Random(CUT_SEED)
+    drawn: dict[int, list] = {d: [] for d in wanted}
+    while any(len(cells) < per_d for cells in drawn.values()):
+        m, n = CUT_SHAPES[rng.randrange(len(CUT_SHAPES))]
+        cells = white_coordinates(inputs.random_diagram(rng, m, n), n)
+        same_d = drawn.get(len(cells[0]))
+        if same_d is not None and len(same_d) < per_d:
+            same_d.append(cells)
+    return {
+        d: 1e6 * (best_pass(line_degree_order, cells, repeats) - best_pass(label_order, cells, repeats)) / per_d
+        for d, cells in drawn.items()
+    }
 
 
 def transfer_bytes(width: int, rows: int) -> tuple[int, float, float]:
@@ -138,6 +194,8 @@ def classify(args: argparse.Namespace) -> None:
         f"large       : {per_query}  (best of {args.repeats}, query-large's batch: {len(large)} queries of "
         f"{', '.join(shapes[:-1])} and {shapes[-1]}, seed {QUERY_SEED}, d {min(sizes)}..{max(sizes)})"
     )
+    savings = ", ".join(f"d {d} {us:+.1f}" for d, us in cut_savings(inputs, args.repeats).items())
+    print(f"cut         : {savings} us a call in line-degree order against label order (cut {backend._ORDER_CUT})")
 
     def cycle_nullity(masks):
         return census._even_cycles(census._diagram_wires(args.cols, masks))

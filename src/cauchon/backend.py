@@ -31,11 +31,29 @@ or grid sampled leaves the integers, so ``fractions`` is imported only on
 that branch. On diagrams' matrices the entries stay within a few small
 integers, which CPython does not allocate, and Python's unbounded integers
 make the kernel valid for any dimension.
+
+``classify_cells`` condenses A_C in fill-reducing order from ``_ORDER_CUT``
+white squares on: ``_line_degree_order`` stable-sorts the squares by line
+degree, the white squares of their row plus those of their column, fewest
+first (the minimum-degree idea of sparse elimination, George and Liu, SIAM
+Review 31, 1989, fixed before the first pivot), and ``skew_matrix`` builds
+the congruent matrix P^T A_C P with each square at its index in that
+order. Pf(P^T A_C P) = det(P) Pf(A_C), with det(P) = (-1)^(d - cycles of
+P), and the nullity is unchanged. On query-large's seed 1-3 batches (1,800
+queries, d 27..63) the order cuts the trailing rows coupled to a pivot
+pair from 646,394 to 543,426, and those sent entry by entry through
+``divmod`` from 92,734 to 18,997. Below the cut the order costs more than
+it saves, so A_C is condensed in label order, as the squares come.
 """
 
 from collections.abc import Sequence
 
 __all__ = ["active_backend", "skew_matrix", "classify_cells", "determinant"]
+
+#: the white-square count from which ``classify_cells`` condenses in
+#: line-degree order: where the order starts to save more than it costs,
+#: as the ``cut`` line of ``benchmarks/bench_backends.py`` measures it
+_ORDER_CUT = 25
 
 
 def active_backend() -> str:
@@ -158,24 +176,27 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int]:
     return (0 if nullity else sign * int(pf)), nullity
 
 
-def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
+def skew_matrix(rows: Sequence[int], cols: Sequence[int], at: Sequence[int] | None = None) -> list[list[int]]:
     """Skew adjacency matrix of white squares, as fresh nested lists.
 
     ``rows``/``cols`` give the coordinates of the white squares, one square
-    per index; entry (i, j) with i < j is +1 exactly when squares i and j
-    share a row or a column, and entry (j, i) is its negative. The squares
-    are grouped by row and by column, so only true neighbours are set.
-    Raises ``ValueError`` when ``rows`` and ``cols`` differ in length.
+    per label; square k sits at index ``at[k]`` of the matrix, at index k
+    when ``at`` is None. The entry of squares k < l that share a row or a
+    column is +1 at (at[k], at[l]) and -1 at (at[l], at[k]): the sign comes
+    from label order wherever the squares sit. The squares are grouped by
+    row and by column, so only true neighbours are set. Raises
+    ``ValueError`` when ``rows`` and ``cols`` differ in length.
     """
     d = len(rows)
     if len(cols) != d:
         raise ValueError(f"rows has {d} coordinates but cols has {len(cols)}")
     a = [[0] * d for _ in range(d)]
     # each square meets the earlier squares of its row, then of its column;
-    # the two are spelt out, as a loop over them is slower on small d
+    # the lines hold the indices the squares sit at, and the two are spelt
+    # out, as a loop over them is slower on small d
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}
-    for i, r, c in zip(range(d), rows, cols):
+    for i, r, c in zip(range(d) if at is None else at, rows, cols):
         ai = a[i]
         line = by_row.get(r)
         if line is None:
@@ -196,9 +217,61 @@ def skew_matrix(rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
     return a
 
 
+def _line_degree_order(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[int], bool]:
+    """The index each square sits at in fill-reducing order, and whether that order is an odd permutation.
+
+    The squares are stable-sorted by line degree, the white squares of
+    their row plus those of their column, fewest first; ties keep label
+    order. The permutation of d indices with c cycles is odd when d - c is.
+    """
+    per_row: dict[int, int] = {}
+    per_col: dict[int, int] = {}
+    for r in rows:
+        per_row[r] = per_row.get(r, 0) + 1
+    for c in cols:
+        per_col[c] = per_col.get(c, 0) + 1
+    degree = [per_row[r] + per_col[c] for r, c in zip(rows, cols)]
+    order = sorted(range(len(degree)), key=degree.__getitem__)
+    at = [0] * len(order)
+    for k, label in enumerate(order):
+        at[label] = k
+    seen = [False] * len(at)
+    cycles = 0
+    for start in range(len(at)):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = at[k]
+    return at, (len(at) - cycles) % 2 == 1
+
+
+def _ordered_matrix(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[list[int]], bool]:
+    """P^T A_C P, A_C built in line-degree order (``_line_degree_order``), and whether P is odd.
+
+    Its Pfaffian is det(P) Pf(A_C): Pf(A_C) negated when P is odd.
+    """
+    at, odd = _line_degree_order(rows, cols)
+    return skew_matrix(rows, cols, at), odd
+
+
 def classify_cells(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, int]:
-    """Pfaffian and nullity of the skew adjacency matrix of white squares, by the Schur kernel."""
-    return _schur(skew_matrix(rows, cols), len(rows))
+    """Pfaffian and nullity of the skew adjacency matrix of white squares, by the Schur kernel.
+
+    From ``_ORDER_CUT`` squares on, the kernel condenses the congruent
+    matrix P^T A_C P, with P the permutation that puts the squares with the
+    fewest line neighbours first, which leaves less fill to update:
+    Pf(P^T A_C P) = det(P) Pf(A_C), with det(P) = (-1)^(d - cycles of P),
+    and the nullity is the same. Below the cut ordering costs more than it
+    saves, and the kernel condenses A_C as the squares are labelled.
+    """
+    d = len(rows)
+    if d < _ORDER_CUT:
+        return _schur(skew_matrix(rows, cols), d)
+    a, odd = _ordered_matrix(rows, cols)
+    pf, nullity = _schur(a, d)
+    return (-pf if odd else pf), nullity
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:

@@ -79,17 +79,21 @@ def _check_shape(m: int, n: int) -> None:
         raise ValueError(f"grid shape {m}x{n} is not valid")
 
 
-@lru_cache(maxsize=None)
-def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
-    """All admissible next-row masks given the fully-black columns so far.
+#: index bits of a run-length block that ``_row_masks`` lists; the bits
+#: above them are read off the index, so at most 2^_LISTED_BITS rows are
+#: held at once
+_LISTED_BITS = 8
+
+
+def _row_masks(n: int, above_black: int) -> Iterator[int]:
+    """All admissible next-row masks given the fully-black columns so far, one at a time.
 
     Every admissible row is a leading black run of some length p, plus black
     squares in fully-black columns strictly right of column p + 1 (column
     p + 1 itself stays white, which is what makes p the run length). Rows
     come out in left-to-right lexicographic order, white first: by run
-    length, and for one run length by doubling the list over its free
-    columns from the rightmost one in, so each added column outranks the
-    ones before it. The full row comes last.
+    length, and for one run length with the rightmost free column varying
+    fastest. The full row comes last.
 
     So the index layout is fixed: one block for each p = 0, ..., n - 1 in
     turn, of 2^|free_p| rows, where free_p are the fully-black columns right
@@ -97,16 +101,40 @@ def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
     lowest bit, the next one in its next bit, and so on; then the full row.
     The tests' sampler (``conftest.admissible_row``) builds the row at an
     index from this layout without listing the rows.
+
+    free_p is the first |free_p| of the fully-black columns from the right.
+    Their subsets for the low ``_LISTED_BITS`` index bits are listed once,
+    by doubling from the rightmost column in, and shared by every block;
+    higher bits are read off the index. So nothing is cached, and the first
+    of 2^n first rows comes at once. From the rightmost fully-black
+    column's run length on, a block frees no column and is its run alone,
+    as is the full row.
     """
-    out: list[int] = []
-    for p in range(n):
-        rows = [(1 << p) - 1]
-        for bit in range(n - 1, p, -1):
-            if above_black >> bit & 1:
-                rows += [row | 1 << bit for row in rows]
-        out += rows
-    out.append((1 << n) - 1)
-    return tuple(out)
+    top = above_black.bit_length() - 1
+    black = [1 << bit for bit in range(top, -1, -1) if above_black >> bit & 1]
+    lows = [0]
+    for bit in black[:_LISTED_BITS]:
+        lows += [low | bit for low in lows]
+    for p in range(top):
+        run = (1 << p) - 1
+        free = (above_black >> p + 1).bit_count()
+        if free <= _LISTED_BITS:
+            for low in lows[: 1 << free]:
+                yield run | low
+            continue
+        walked = black[_LISTED_BITS:free]
+        for index in range(1 << len(walked)):
+            high = run | sum(bit for j, bit in enumerate(walked) if index >> j & 1)
+            for low in lows:
+                yield high | low
+    for p in range(max(top, 0), n + 1):
+        yield (1 << p) - 1
+
+
+@lru_cache(maxsize=None)
+def _row_candidates(n: int, above_black: int) -> tuple[int, ...]:
+    """The rows of ``_row_masks(n, above_black)``, listed and cached for the step tables and the counts."""
+    return tuple(_row_masks(n, above_black))
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 # kept with the transfer census, so that ``count`` loads no diagram module
-from .census import _check_shape, _row_candidates
+from .census import _check_shape, _row_candidates, _row_masks
 
 __all__ = [
     "GridError",
@@ -252,7 +252,7 @@ def _iter_row_masks(m: int, n: int) -> Iterator[tuple[int, ...]]:
         above = (1 << n) - 1
         for row in rows:
             above &= row
-        for mask in _row_candidates(n, above):
+        for mask in _row_masks(n, above):
             yield (*rows, mask)
 
 

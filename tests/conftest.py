@@ -74,7 +74,7 @@ def random_diagrams(shapes, count: int, seed: int) -> list[CauchonDiagram]:
 def admissible_row(n: int, above: int, index: int) -> int:
     """The row at ``index`` of ``census._row_candidates(n, above)``, built without listing the rows.
 
-    That function's docstring states the index layout: a block of
+    ``census._row_masks``' docstring states the index layout: a block of
     2^|free_p| rows for each leading run length p, whose index bit j
     blackens the j-th free column from the right, then the full row.
     """

@@ -132,6 +132,16 @@ CATALOGUE = (
         _BACKENDS,
     ),
     Mutant("swap-loop-cut", "backend", "for k in range(t + 1, j):", "for k in range(t + 1, min(j, t + 24)):", _BACKENDS),
+    # the line-degree order: det(P) not undone, or its parity read off d
+    # alone, without the cycles of P
+    Mutant("order-sign-dropped", "backend", "return (-pf if odd else pf), nullity", "return pf, nullity", _BACKENDS),
+    Mutant(
+        "order-parity-without-cycles",
+        "backend",
+        "return at, (len(at) - cycles) % 2 == 1",
+        "return at, len(at) % 2 == 1",
+        _BACKENDS,
+    ),
     Mutant(
         "determinant-no-swap-sign",
         "backend",
@@ -142,7 +152,13 @@ CATALOGUE = (
     # the transfer and the Cauchon condition
     Mutant("wire-moves-no-flip", "census", "moves[white[0]] = (white[-1], 1)", "moves[white[0]] = (white[-1], 0)", ("test_census.py",)),
     Mutant("even-cycles-counts-odd", "census", "count += not parity", "count += parity", ("test_census.py",)),
-    Mutant("row-candidates-no-full-row", "census", "out.append((1 << n) - 1)\n", "", ("test_census.py",)),
+    Mutant(
+        "row-candidates-no-full-row",
+        "census",
+        "for p in range(max(top, 0), n + 1):",
+        "for p in range(max(top, 0), n):",
+        ("test_census.py",),
+    ),
     Mutant("row-violation-ignores-black-columns", "diagram", "return beyond_run & ~above_black", "return beyond_run", ("test_diagram.py",)),
     # the matching-sum oracle and the two-row closed form
     Mutant(

@@ -561,6 +561,13 @@ def test_coordinates_of_unequal_lengths_raise(build, cols):
         build([1, 1, 2], cols)
 
 
+def test_coordinates_of_unequal_lengths_raise_above_the_cut():
+    # the line-degree order runs first there, and must not hide the error
+    for d, other in [(30, 29), (29, 30)]:
+        with pytest.raises(ValueError, match=rf"^rows has {d} coordinates but cols has {other}$"):
+            backend.classify_cells([1] * d, list(range(1, other + 1)))
+
+
 # --- the Schur kernel --------------------------------------------------------
 
 
@@ -830,3 +837,70 @@ def test_kernels_match_modular_pfaffian_at_large_d():
     # nonzero and negative Pfaffians in every family, so that the test
     # cannot pass on zeros alone
     assert all(nonzero >= 20 and negative >= 10 for nonzero, negative in found.values()), found
+
+
+# --- the line-degree order ---------------------------------------------------
+
+
+def assert_ordered_sign(rows, cols, label, found):
+    """``classify_cells`` gives the Schur kernel's and the Bareiss oracle's (Pf, nullity) of A_C in label order.
+
+    ``found`` tallies, from the cut on, the nonzero and negative Pfaffians
+    and the odd line-degree orders, whose sign ``classify_cells`` must undo.
+    """
+    a = backend.skew_matrix(rows, cols)
+    got = backend.classify_cells(rows, cols)
+    assert got == _schur(a) == _condense(a), label
+    if len(rows) >= backend._ORDER_CUT:
+        found["ordered"] += 1
+        found["nonzero"] += got[0] != 0
+        found["negative"] += got[0] < 0
+        found["odd"] += backend._line_degree_order(rows, cols)[1]
+
+
+def test_line_degree_order_sorts_by_line_degree():
+    # stable: fewest white squares in the square's row and column first,
+    # ties in label order; the parity is that of the permutation
+    for diagram in random_diagrams(LARGE_SHAPES, 40, seed=20261026):
+        rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+        at, odd = backend._line_degree_order(rows, cols)
+        degree = [rows.count(r) + cols.count(c) for r, c in zip(rows, cols)]
+        order = sorted(range(len(rows)), key=lambda k: (degree[k], k))
+        assert [at[label] for label in order] == list(range(len(rows))), str(diagram)
+        assert odd == (permutation_sign(order) == -1), str(diagram)
+
+
+def test_ordered_matrix_is_the_congruent_matrix():
+    # the matrix condensed from the cut on is P^T A_C P: entry (at[k], at[l])
+    # of it is entry (k, l) of A_C, so the signs come from label order
+    for diagram in random_diagrams(LARGE_SHAPES, 20, seed=20261027):
+        rows, cols = white_coordinates(diagram.row_masks, diagram.cols)
+        a = backend.skew_matrix(rows, cols)
+        b, odd = backend._ordered_matrix(rows, cols)
+        at, parity = backend._line_degree_order(rows, cols)
+        assert odd == parity
+        assert all(b[at[k]][at[l]] == a[k][l] for k in range(len(a)) for l in range(len(a))), str(diagram)
+
+
+def test_classify_cells_on_both_sides_of_the_cut():
+    # seeded diagrams with d = cut - 2 .. cut + 2, the large sample and random
+    # grids up to 9x11: the sign of det(P) is undone above the cut, and
+    # below it nothing is reordered. Floors on nonzero and negative
+    # Pfaffians and on odd orders, so that the test cannot pass on zeros or
+    # on orders that move nothing
+    cut = backend._ORDER_CUT
+    found = dict.fromkeys(("ordered", "nonzero", "negative", "odd"), 0)
+    near = {d: [] for d in range(cut - 2, cut + 3)}
+    for diagram in random_diagrams([(6, 6), (6, 7), (7, 6)], 2000, seed=20261028):
+        same_d = near.get(diagram.white_count)
+        if same_d is not None and len(same_d) < 40:
+            same_d.append(diagram)
+    assert all(len(diagrams) == 40 for diagrams in near.values()), {d: len(v) for d, v in near.items()}
+    large = random_diagrams(LARGE_SHAPES, 80, seed=20261029)
+    for diagram in [diagram for diagrams in near.values() for diagram in diagrams] + large:
+        assert_ordered_sign(*white_coordinates(diagram.row_masks, diagram.cols), str(diagram), found)
+    shapes = [(m, n) for m in range(1, 10) for n in range(1, 12)]
+    for m, n, masks in random_grids(shapes, 3 * len(shapes), seed=20261029):
+        assert_ordered_sign(*white_coordinates(masks, n), (m, n, masks), found)
+    assert found["ordered"] >= 200 and found["nonzero"] >= 30 and found["negative"] >= 15, found
+    assert found["odd"] >= 80 and found["ordered"] - found["odd"] >= 80, found

@@ -101,10 +101,11 @@ def test_packed_sweep_matches_tuple_oracle(width):
         assert decode_states(width, packed) == spelled, k
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(12))
 def test_admissible_row_indexes_the_row_candidates(n):
-    # the index layout _row_candidates states: blocks by run length, the
-    # rightmost free column as the block index's lowest bit, the full row last
+    # the index layout _row_masks states: blocks by run length, the
+    # rightmost free column as the block index's lowest bit, the full row
+    # last; from width 10 on a block has index bits past the listed ones
     for above in range(1 << n):
         rows = census._row_candidates(n, above)
         assert rows == tuple(admissible_row(n, above, k) for k in range(len(rows))), above

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from cauchon import (
     white_edges,
 )
 from cauchon.diagram import _iter_row_masks, white_coordinates
-from conftest import GRID_4x6, decode_states
+from conftest import GRID_4x6, admissible_row, decode_states
 
 
 def naive_validate(black, m, n):
@@ -200,6 +202,51 @@ def test_enumerate_is_lexicographic_and_duplicate_free(m, n):
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen))
     assert seen[0] == "0" * (m * n)
+
+
+def indexed_row_masks(m, n):
+    """Oracle: every m x n diagram's row masks, each row built at each index of the stated layout.
+
+    ``conftest.admissible_row`` builds the row at an index from the layout
+    that ``census._row_masks`` states, with no code of the package.
+    """
+    if m == 0:
+        yield ()
+        return
+    for rows in indexed_row_masks(m - 1, n):
+        above = (1 << n) - 1
+        for row in rows:
+            above &= row
+        count = 1 + sum(1 << (above >> p + 1).bit_count() for p in range(n))
+        for index in range(count):
+            yield (*rows, admissible_row(n, above, index))
+
+
+def test_enumeration_order_is_the_index_order():
+    # the enumeration walks each row's blocks by index; it yields every
+    # shape with m * n <= 16 in the order of the row indices
+    shapes = [(m, n) for m in range(1, 17) for n in range(0, 17) if m * n <= 16]
+    for m, n in shapes:
+        assert list(_iter_row_masks(m, n)) == list(indexed_row_masks(m, n)), (m, n)
+    assert len(shapes) == 66
+
+
+def test_first_diagram_of_a_wide_row_lists_no_rows(monkeypatch):
+    # the first of 2^40 one-row diagrams comes without listing the first
+    # rows; the cached listing is refused outright, so that a return to it
+    # fails here instead of filling the memory
+    def refuse(n, above):
+        raise AssertionError(f"the enumeration listed the rows of width {n}")
+
+    monkeypatch.setattr(diagram, "_row_candidates", refuse)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_diagrams(1, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == CauchonDiagram.all_white(1, 40)
+    assert peak < 256 * 1024, peak
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])

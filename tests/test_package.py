@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cauchon
-from cauchon import CauchonDiagram, MalformedMatchingError, Matching, NotCauchonError, SkewAdjacency
+from cauchon import CauchonDiagram, MalformedMatchingError, Matching, NotCauchonError, SkewAdjacency, backend
 from cauchon.checks import CheckReport
 from cauchon.cli import CHECK_SUBJECTS
 
@@ -285,12 +285,17 @@ def test_layer_benchmark_runs():
     script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_backends.py"
     done = run_child([str(script), "--rows", "2", "--cols", "3", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
-    shape, kernel, large, cycles, record, transfer = done.stdout.splitlines()
+    shape, kernel, large, cut, cycles, record, transfer = done.stdout.splitlines()
     assert shape == "shape 2x3: 46 diagrams"
     assert kernel.startswith("kernel      : ") and kernel.endswith(" us/diagram)")
-    assert re.search(r" us/diagram; build [\d.]+, schur [\d.]+ us/diagram\)$", kernel), kernel
-    assert large.startswith("large       : build ") and large.count(" us/query") == 2 and " us/query, schur " in large
+    assert re.search(r" us/diagram; order [\d.]+, build [\d.]+, schur [\d.]+ us/diagram\)$", kernel), kernel
+    assert re.match(r"large       : order +[\d.]+ us/query, build +[\d.]+ us/query, schur +[\d.]+ us/query  \(", large), large
     assert large.endswith(" query-large's batch: 600 queries of 6x8, 7x7 and 8x8, seed 1, d 27..63)"), large
+    # the cut line compares the two orders for each d within three of the
+    # cut; CI's 3x3 and 1x12 shapes lie below the cut, the large batch above
+    cut_at = backend._ORDER_CUT
+    assert 12 < cut_at <= 27 and cut.endswith(f" us a call in line-degree order against label order (cut {cut_at})"), cut
+    assert re.findall(r"d (\d+) [+-][\d.]+", cut) == [str(d) for d in range(cut_at - 3, cut_at + 3)], cut
     assert cycles.startswith("cycles      : ") and cycles.endswith(", 0 mismatches against the kernel)")
     assert record.startswith("census      : total=46 primitive=17 in ")
     assert transfer.startswith("transfer    : 12 states at level 3 of width 2, ")
@@ -410,9 +415,11 @@ def test_every_function_has_a_caller_or_a_reason(tmp_path):
     # the commands reach every function of src/cauchon that is not public
     # API and not listed in UNREACHED with its reason
     grids = {"grid": "..#.\n#...\n", "ragged": "..\n...\n", "letter": "..\n.x\n", "not-cauchon": "..\n.#\n"}
+    # 30 white squares: classify_cells condenses them in line-degree order
+    grids["large"] = "......\n" * 5
     for name, text in grids.items():
         (tmp_path / name).write_text(text)
-    lines = command_lines(str(tmp_path / "grid"))
+    lines = command_lines(str(tmp_path / "grid")) + [["pfaffian", "--grid", str(tmp_path / "large")]]
     errors = [
         (["count", "--rows", "0", "--cols", "2"], 2),  # usage error
         (["count", "--rows", "9", "--cols", "9"], 3),  # guardrail
