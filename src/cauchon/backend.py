@@ -18,13 +18,20 @@ vector: the kernel passes over it and advances one row. The nullity is d
 minus twice the pivots taken, and the Pfaffian is 0 unless the nullity is
 0, else the sign times the product of the pivots.
 
-Each trailing row coupled to a pivot row divides its two couplings by p, as
-a product when |p| is 1 and by ``divmod`` otherwise; a row coupled to
-neither is not touched, so there is no rescale. A quotient of +-1 adds or
-subtracts its pivot row, and only other quotients take a product. A
-coupling that p does not divide sends its row entry by entry, each
-numerator a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] through ``divmod``,
-and an entry that leaves a remainder becomes the exact
+Once the pair is fixed, the kernel lists the trailing indices coupled to
+it, those i with a[s][i] or a[s+1][i] nonzero, in descending order, and
+pops them smallest first. A row coupled to neither pivot row is not
+touched, so there is no rescale, and in a coupled row i only the columns
+still on the list, the coupled ones right of i, can change: every other
+entry of both pivot rows there is 0. On query-large's seed 1-3 batches
+(1,800 queries) that is 5,396,622 entries where a scan of every column
+right of each coupled row visits 7,740,166. Each coupled row divides its
+two couplings by p, as a product when |p| is 1 and by ``divmod``
+otherwise. A quotient of +-1 adds or subtracts its pivot row, and only
+other quotients take a product. A coupling that p does not divide sends
+its coupled columns entry by entry, each numerator
+a[s+1][i] * a[s][j] - a[s][i] * a[s+1][j] through ``divmod``, and an
+entry that leaves a remainder becomes the exact
 ``fractions.Fraction``: the kernel never rounds, and the product of the
 pivots, the Pfaffian of an integer matrix, is an integer again. No diagram
 or grid sampled leaves the integers, so ``fractions`` is imported only on
@@ -52,8 +59,10 @@ __all__ = ["active_backend", "skew_matrix", "classify_cells", "determinant"]
 
 #: the white-square count from which ``classify_cells`` condenses in
 #: line-degree order: where the order starts to save more than it costs,
-#: as the ``cut`` line of ``benchmarks/bench_backends.py`` measures it
-_ORDER_CUT = 25
+#: as the ``cut`` line of ``benchmarks/bench_backends.py`` measures it: on
+#: the coupled-list kernel the order costs 0.1 to 1.5 us a call at d 24..26
+#: and saves 0.1 to 1.0 us at d 27, 1.8 to 3.1 at d 29 and about 7 from d 30
+_ORDER_CUT = 27
 
 
 def active_backend() -> str:
@@ -109,11 +118,19 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int]:
         p = row_s[t]
         pf *= p
         unit = p == 1 or p == -1
-        for i in range(s + 2, d):
+        # the trailing indices coupled to the pivot pair, descending: a row
+        # coupled to neither pivot row is not touched, and in a coupled row
+        # only the coupled columns can change, so after the pop `tail` holds
+        # exactly the columns right of i that the update of row i can change
+        # (a loop, as a comprehension's call costs more on small d)
+        tail = []
+        for i in range(d - 1, s + 1, -1):
+            if row_s[i] or row_t[i]:
+                tail.append(i)
+        while tail:
+            i = tail.pop()
             asi = row_s[i]
             ati = row_t[i]
-            if not asi and not ati:
-                continue
             row_i = a[i]
             if unit:
                 # 1 / p == p
@@ -123,7 +140,7 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int]:
                 cs, rs = divmod(asi, p)
                 ct, rt = divmod(ati, p)
                 if rs or rt:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         q, r = divmod(ati * row_s[j] - asi * row_t[j], p)
                         if r:
                             from fractions import Fraction
@@ -135,40 +152,40 @@ def _schur(a: list[list[int]], d: int) -> tuple[int, int]:
             # quotients take a product
             if not cs:
                 if ct == 1:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] += row_s[j]
                 elif ct == -1:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] -= row_s[j]
                 else:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] += ct * row_s[j]
             elif not ct:
                 if cs == 1:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] -= row_t[j]
                 elif cs == -1:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] += row_t[j]
                 else:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] -= cs * row_t[j]
             elif (ct == 1 or ct == -1) and (cs == 1 or cs == -1):
                 if cs == ct:
                     if ct == 1:
-                        for j in range(i + 1, d):
+                        for j in tail:
                             row_i[j] += row_s[j] - row_t[j]
                     else:
-                        for j in range(i + 1, d):
+                        for j in tail:
                             row_i[j] -= row_s[j] - row_t[j]
                 elif ct == 1:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] += row_s[j] + row_t[j]
                 else:
-                    for j in range(i + 1, d):
+                    for j in tail:
                         row_i[j] -= row_s[j] + row_t[j]
             else:
-                for j in range(i + 1, d):
+                for j in tail:
                     row_i[j] += ct * row_s[j] - cs * row_t[j]
         pairs += 1
         s += 2

@@ -58,8 +58,8 @@ CATALOGUE = (
     Mutant(
         "schur-ct-1-subtracts",
         "backend",
-        "if ct == 1:\n                    for j in range(i + 1, d):\n                        row_i[j] += row_s[j]\n",
-        "if ct == 1:\n                    for j in range(i + 1, d):\n                        row_i[j] -= row_s[j]\n",
+        "if ct == 1:\n                    for j in tail:\n                        row_i[j] += row_s[j]\n",
+        "if ct == 1:\n                    for j in tail:\n                        row_i[j] -= row_s[j]\n",
         _BACKENDS,
     ),
     Mutant("schur-ct-minus-1-adds", "backend", "row_i[j] -= row_s[j]\n", "row_i[j] += row_s[j]\n", _BACKENDS),
@@ -69,8 +69,8 @@ CATALOGUE = (
     Mutant(
         "schur-cs-minus-1-subtracts",
         "backend",
-        "elif cs == -1:\n                    for j in range(i + 1, d):\n                        row_i[j] += row_t[j]\n",
-        "elif cs == -1:\n                    for j in range(i + 1, d):\n                        row_i[j] -= row_t[j]\n",
+        "elif cs == -1:\n                    for j in tail:\n                        row_i[j] += row_t[j]\n",
+        "elif cs == -1:\n                    for j in tail:\n                        row_i[j] -= row_t[j]\n",
         _BACKENDS,
     ),
     Mutant("schur-cs-no-product", "backend", "row_i[j] -= cs * row_t[j]\n", "row_i[j] -= row_t[j]\n", _BACKENDS),
@@ -123,6 +123,10 @@ CATALOGUE = (
         _BACKENDS,
     ),
     Mutant("schur-pfaffian-not-int", "backend", "sign * int(pf)", "sign * pf", _BACKENDS),
+    # the coupled list: rows coupled to row t alone left out, or built
+    # ascending, so that each pop leaves the columns left of its row
+    Mutant("schur-tail-skips-row-t", "backend", "if row_s[i] or row_t[i]", "if row_s[i]", _BACKENDS),
+    Mutant("schur-tail-ascending", "backend", "range(d - 1, s + 1, -1)", "range(s + 2, d)", _BACKENDS),
     # the swap that moves a pivot partner into place
     Mutant(
         "swap-crossing-not-negated",

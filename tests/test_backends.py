@@ -2,6 +2,7 @@
 slow reference implementations written here from first principles."""
 
 import importlib.util
+import inspect
 import itertools
 import math
 import os
@@ -430,13 +431,13 @@ def test_kernel_reads_only_the_upper_triangle():
         assert both_kernels(junk) == expected, a
 
 
-def sparse_skew(rng, d, density):
-    """A random 0/+-1 skew matrix whose entries right of the diagonal are nonzero with probability ``density``."""
+def sparse_skew(rng, d, density, values=(-1, 1)):
+    """A random skew matrix whose entries right of the diagonal are nonzero with probability ``density``, drawn from ``values``."""
     a = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             if rng.random() < density:
-                v = rng.choice((-1, 1))
+                v = rng.choice(values)
                 a[i][j] = v
                 a[j][i] = -v
     return a
@@ -837,6 +838,73 @@ def test_kernels_match_modular_pfaffian_at_large_d():
     # nonzero and negative Pfaffians in every family, so that the test
     # cannot pass on zeros alone
     assert all(nonzero >= 20 and negative >= 10 for nonzero, negative in found.values()), found
+
+
+# --- the coupled list of a pivot pair ----------------------------------------
+
+
+def traced_schur(matrix, cases):
+    """``_schur`` on ``matrix``, tallying in ``cases`` what each pivot pair's coupled list met.
+
+    A tracer reads the kernel's locals on the first line after the lines
+    that build ``tail``, the trailing indices coupled to the pivot pair
+    (from ``tail = []`` to ``tail.append(i)``): whether some trailing row
+    was coupled to neither pivot row, whether some was coupled to row t
+    alone, and whether a pivot other than +-1 left a remainder in some
+    coupling. The kernel itself counts nothing.
+    """
+    lines, first = inspect.getsourcelines(backend._schur)
+    numbers = {line.strip(): first + k for k, line in enumerate(lines)}
+    start, end = numbers["tail = []"], numbers["tail.append(i)"]
+    code = backend._schur.__code__
+    pending = False
+
+    def local(frame, event, arg):
+        nonlocal pending
+        if event == "line":
+            if start <= frame.f_lineno <= end:
+                pending = True
+            elif pending:
+                pending = False
+                names = frame.f_locals
+                tail, row_s, row_t, p = names["tail"], names["row_s"], names["row_t"], names["p"]
+                cases["pairs"] += 1
+                cases["uncoupled"] += len(tail) < names["d"] - names["s"] - 2
+                cases["row_t_only"] += any(not row_s[i] for i in tail)
+                cases["remainder"] += p not in (1, -1) and any(row_s[i] % p or row_t[i] % p for i in tail)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        return _schur(matrix)
+    finally:
+        sys.settrace(previous)
+
+
+def test_schur_on_sparse_patterns_unlike_diagrams():
+    # seeded skew matrices with no diagram's shape: d from 2 to 40, entries
+    # in -2..2, 5 % to 40 % of them nonzero. Each pivot pair updates only
+    # the rows and columns coupled to it, so rows coupled to neither pivot
+    # row, rows coupled to row t alone and non-unit pivots that leave a
+    # remainder must all occur, and the kernel must still give the Bareiss
+    # oracle's Pfaffian and nullity and, above d = 24, the modular oracle's
+    cases = dict.fromkeys(("pairs", "uncoupled", "row_t_only", "remainder"), 0)
+    rng = random.Random(114)
+    large = 0
+    for _ in range(240):
+        d = rng.randrange(2, 41)
+        a = sparse_skew(rng, d, rng.uniform(0.05, 0.4), (-2, -1, 1, 2))
+        got = traced_schur(a, cases)
+        assert got == _condense(a) and type(got[0]) is int, a
+        if d > 24:
+            large += 1
+            assert got[0] == modular_pfaffian(a), a
+    assert large >= 80, large
+    assert cases["uncoupled"] >= 600 and cases["row_t_only"] >= 600 and cases["remainder"] >= 400, cases
 
 
 # --- the line-degree order ---------------------------------------------------

@@ -249,6 +249,52 @@ def test_first_diagram_of_a_wide_row_lists_no_rows(monkeypatch):
     assert peak < 256 * 1024, peak
 
 
+def spy_listing(monkeypatch):
+    """The masks ``diagram._row_candidates`` is asked for from now on; a mask of more than ``census._LISTED_BITS`` black columns fails."""
+    listed = []
+    candidates = diagram._row_candidates
+
+    def bounded(n, above):
+        assert above.bit_count() <= census._LISTED_BITS, f"the enumeration listed the rows under {above:#x}"
+        listed.append(above)
+        return candidates(n, above)
+
+    monkeypatch.setattr(diagram, "_row_candidates", bounded)
+    return listed
+
+
+def test_first_diagram_of_three_wide_rows_lists_few_rows(monkeypatch):
+    # the first row, under 40 black columns, and the second, under the first
+    # row alone, are walked; below two white rows no column is black, and
+    # the third row's 41 candidates are read from the cached listing
+    listed = spy_listing(monkeypatch)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_diagrams(3, 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == CauchonDiagram.all_white(3, 40)
+    assert listed == [0]
+    assert peak < 256 * 1024, peak
+
+
+def test_rows_below_one_row_are_walked(monkeypatch):
+    # each first row is its own black-column mask and comes once, so the
+    # rows below it are walked, not cached: listing them would cache the
+    # rows under each of the 2^n first rows, 8.4 million for 2 x 15. Only
+    # the first row's listing, under n black columns, is read; from the
+    # third row on the masks recur and are read from the listing
+    listed = spy_listing(monkeypatch)
+    assert sum(1 for _ in enumerate_diagrams(2, 7)) == 2 * 3**7 - 2**7
+    assert listed == [(1 << 7) - 1]
+    listed.clear()
+    masks = set()
+    for d in enumerate_diagrams(3, 4):
+        masks.add(d.row_masks[0] & d.row_masks[1])
+    assert listed[0] == (1 << 4) - 1 and set(listed[1:]) == masks, listed
+
+
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
 def test_enumerate_matches_filtering_all_masks(m, n):
     expected = set()
